@@ -7,6 +7,14 @@ per-risk-set loop. Subject-level influence (dfbeta) residuals come from the
 same sweep using the exact score decomposition, not a one-step refit
 approximation.
 
+One evaluation lays the moments out as contiguous rows of a (k, n) array:
+r, r x_j and, only when the information is needed, the p(p+1)/2 unique
+second moments r x_j x_l with j <= l, where r is the weighted relative risk.
+Every record after the block's last event record is at risk at every event,
+so only the head before it takes a reverse cumsum along the rows; the tail's
+plain row sum is added to each event's risk-set sum. Window blocks of
+risk-set recalibration are mostly such tail records.
+
 A fit may span several independent blocks of records sharing one coefficient
 vector; the log partial likelihood is then the sum of block contributions.
 Risk-set recalibration needs exactly this: each time window contributes a
@@ -17,6 +25,7 @@ bookkeeping applies within a block and no delayed-entry machinery is needed.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -190,49 +199,78 @@ class CoxFit:
         return np.sqrt(np.diag(self.covariance()))
 
 
+@lru_cache(maxsize=None)
+def _moment_layout(p: int):
+    """Upper-triangle indices and the symmetric map for p covariates.
+
+    The unique second moments are the pairs j <= l in row-major order; the
+    (p, p) map sends each entry of the information to its moment. The
+    arrays are read-only because every block of every fit shares them.
+    """
+    triu = np.triu_indices(p)
+    sym = np.empty((p, p), dtype=np.intp)
+    sym[triu] = sym.T[triu] = np.arange(triu[0].size)
+    for a in (*triu, sym):
+        a.flags.writeable = False
+    return triu, sym
+
+
 class _PreparedBlock:
-    """Sorted views of one block plus the index maps the sweep needs."""
+    """One block sorted by time, with the index maps the moment sweep needs."""
 
     def __init__(self, data: SurvivalData, center: np.ndarray):
         n = data.n
         # Sort by time, breaking ties by event flag then input position, so
         # reruns on identically ordered input reproduce bit-identical sums.
         order = np.lexsort((np.arange(n), data.event, data.time))
-        self.time = data.time[order]
-        self.event = data.event[order]
-        self.x = data.covariates[order] - center
-        self.w = data.weights[order]
+        time = data.time[order]
         self.order = order
-        self.ev_pos = np.flatnonzero(self.event)
-        # First index at risk for each event: all later-sorted records have
-        # time >= the event time, located by value so tie order is irrelevant.
-        self.first_at_risk = np.searchsorted(self.time, self.time[self.ev_pos], side="left")
+        self.xt = np.ascontiguousarray((data.covariates[order] - center).T)
+        self.w = data.weights[order]
+        self.ev_pos = np.flatnonzero(data.event[order])
+        ev_time = time[self.ev_pos]
+        # Records after the last event record are at risk at every event;
+        # the head before them is the only part that needs a cumsum.
+        self.head = int(self.ev_pos[-1]) + 1 if self.ev_pos.size else 0
+        # Column of each event's risk set in the reversed head cumsum. The
+        # first record at risk is located by value, so tie order is
+        # irrelevant.
+        self.ev_col = self.head - 1 - np.searchsorted(time, ev_time, side="left")
         # Events with time <= each record's time, for cumulative-hazard terms.
-        self.n_events_le = np.searchsorted(self.time[self.ev_pos], self.time, side="right")
+        self.n_events_le = np.searchsorted(ev_time, time, side="right")
         self.w_ev = self.w[self.ev_pos]
-        self.x_ev = self.x[self.ev_pos]
+        self.xt_ev = self.xt[:, self.ev_pos]
         self.subject = None if data.subject is None else data.subject[order]
+        self.triu, self.sym = _moment_layout(data.n_covariates)
 
     def evaluate(self, beta: np.ndarray, need_info: bool):
         """Log partial likelihood, score, and optionally information."""
-        eta = self.x @ beta
+        p = beta.size
+        eta = beta @ self.xt
         shift = eta.max(initial=0.0)
         r = self.w * np.exp(eta - shift)
-        s0 = np.cumsum(r[::-1])[::-1]
-        s1 = np.cumsum((r[:, None] * self.x)[::-1], axis=0)[::-1]
-        s0_e = s0[self.first_at_risk]
-        s1_e = s1[self.first_at_risk]
-        xbar = s1_e / s0_e[:, None]
+        # Moment rows r, r x_j and, for the information, r x_j x_l (j <= l).
+        k = 1 + p + (self.triu[0].size if need_info else 0)
+        rows = np.empty((k, r.size))
+        rows[0] = r
+        np.multiply(self.xt, r, out=rows[1 : p + 1])
+        if need_info:
+            at = p + 1
+            for j in range(p):
+                np.multiply(rows[1 + j], self.xt[j:], out=rows[at : at + p - j])
+                at += p - j
+        # Risk-set sums: a reverse cumsum over the head plus the tail total.
+        sums = np.take(np.cumsum(rows[:, : self.head][:, ::-1], axis=1), self.ev_col, axis=1)
+        sums += rows[:, self.head :].sum(axis=1)[:, None]
+        s0_e = sums[0]
+        xbar = sums[1 : p + 1] / s0_e
         loglik = float(self.w_ev @ eta[self.ev_pos] - self.w_ev @ (np.log(s0_e) + shift))
-        score = (self.x_ev - xbar).T @ self.w_ev
+        score = (self.xt_ev - xbar) @ self.w_ev
         info = None
         if need_info:
-            outer = (r[:, None, None] * self.x[:, :, None]) * self.x[:, None, :]
-            s2 = np.cumsum(outer[::-1], axis=0)[::-1]
-            s2_e = s2[self.first_at_risk]
-            info = np.einsum("e,eij->ij", self.w_ev / s0_e, s2_e)
-            info -= np.einsum("e,ei,ej->ij", self.w_ev, xbar, xbar)
-        return loglik, score, info, (eta, shift, s0_e, xbar)
+            upper = sums[p + 1 :] @ (self.w_ev / s0_e) - ((xbar * self.w_ev) @ xbar.T)[self.triu]
+            info = upper[self.sym]
+        return loglik, score, info, (eta, shift, s0_e, xbar.T)
 
     def weighted_score_terms(self, beta: np.ndarray) -> np.ndarray:
         """Per-record score contributions w_i L_i in input order.
@@ -242,13 +280,14 @@ class _PreparedBlock:
         mean minus its accumulated exposure to the weighted baseline hazard.
         """
         _, _, _, (eta, shift, s0_e, xbar) = self.evaluate(beta, need_info=False)
+        x = self.xt.T
         haz = self.w_ev / s0_e
         g0 = np.concatenate([[0.0], np.cumsum(haz)])[self.n_events_le]
         g1 = np.concatenate(
-            [np.zeros((1, self.x.shape[1])), np.cumsum(haz[:, None] * xbar, axis=0)]
+            [np.zeros((1, x.shape[1])), np.cumsum(haz[:, None] * xbar, axis=0)]
         )[self.n_events_le]
-        terms = -np.exp(eta - shift)[:, None] * (self.x * g0[:, None] - g1)
-        terms[self.ev_pos] += self.x_ev - xbar
+        terms = -np.exp(eta - shift)[:, None] * (x * g0[:, None] - g1)
+        terms[self.ev_pos] += self.xt_ev.T - xbar
         terms *= self.w[:, None]
         out = np.empty_like(terms)
         out[self.order] = terms
@@ -341,7 +380,10 @@ def fit_cox_blocks(
         accepted = None
         for _ in range(options.max_step_halvings + 1):
             candidate = beta + scale * direction
-            cand_ll, cand_score, cand_info = _evaluate_all(prepared, candidate, need_info=True)
+            # A far-out candidate can underflow a risk-set sum to zero; the
+            # non-finite likelihood that follows rejects it just below.
+            with np.errstate(divide="ignore", invalid="ignore"):
+                cand_ll, cand_score, cand_info = _evaluate_all(prepared, candidate, need_info=True)
             if np.isfinite(cand_ll) and cand_ll >= loglik - 1e-10 * (1.0 + abs(loglik)):
                 accepted = (candidate, cand_ll, cand_score, cand_info)
                 break
@@ -379,7 +421,7 @@ def _dfbetas(prepared, beta, info, n_subjects):
     labeled = prepared and all(b.subject is not None for b in prepared)
     if labeled and n_subjects is None:
         n_subjects = int(max(b.subject.max() for b in prepared)) + 1
-    rows = n_subjects if labeled else sum(b.time.shape[0] for b in prepared)
+    rows = n_subjects if labeled else sum(b.w.shape[0] for b in prepared)
     terms = np.zeros((rows, beta.size))
     offset = 0
     for block in prepared:
@@ -391,11 +433,14 @@ def _dfbetas(prepared, beta, info, n_subjects):
         else:
             terms[offset : offset + contrib.shape[0]] = contrib
             offset += contrib.shape[0]
+    # Invert the p x p information once and apply it with a matmul: a
+    # triangular solve with one right-hand side per row would let the BLAS
+    # start threads in every pool worker.
     try:
-        factor = cho_factor(info)
+        inv_info = cho_solve(cho_factor(info), np.eye(beta.size))
     except (LinAlgError, ValueError) as exc:
         raise SingularInformationError(str(exc)) from None
-    return cho_solve(factor, terms.T).T
+    return terms @ inv_info
 
 
 def log_partial_likelihood(beta, data: SurvivalData) -> float:

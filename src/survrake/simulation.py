@@ -35,12 +35,7 @@ from .calibration import DEFAULT_RSRC_GRID, ErrorMode, ErrorModelSpec, Weighting
 from .cohort import CohortData
 from .cox import SurvivalData, fit_cox
 from .design import SamplingPlan, draw_validation, stratified_bootstrap
-from .errors import (
-    EstimationError,
-    InvalidConfigError,
-    NotBracketedError,
-    SingularInformationError,
-)
+from .errors import EstimationError, InvalidConfigError, NotBracketedError
 from .raking import grn_estimate, grrc_estimate, ht_estimate
 
 Z_CRITICAL = float(norm.ppf(0.975))
@@ -457,20 +452,6 @@ def generate_cohort(config: ScenarioConfig, rng) -> CohortData:
     )
 
 
-def _model_se(fit) -> float:
-    try:
-        variance = float(np.linalg.inv(fit.information)[0, 0])
-    except np.linalg.LinAlgError as exc:
-        raise SingularInformationError(
-            "information matrix is singular, no model standard error"
-        ) from exc
-    if not variance > 0.0:
-        raise SingularInformationError(
-            "information matrix is not positive definite at the fit"
-        )
-    return math.sqrt(variance)
-
-
 def _boot_seed(config: ScenarioConfig, rep: int, est: str) -> int:
     stream = np.random.SeedSequence((config.seed, rep, 2, _EST_INDEX[est]))
     return int(stream.generate_state(1, np.uint64)[0])
@@ -536,7 +517,7 @@ def _run_replicate(config: ScenarioConfig, rep: int) -> dict:
         try:
             if est not in _BOOTSTRAP_SE:
                 fit = _model_fit(est, cohort)
-                out[est] = (float(fit.beta[0]), _model_se(fit))
+                out[est] = (float(fit.beta[0]), float(fit.standard_errors()[0]))
                 continue
             runner = _corrected_runner(est, config)
             result = runner(cohort, design)

@@ -11,6 +11,7 @@ import math
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from numpy.testing import assert_allclose
 
 from reference import ref_raking_lambda
@@ -38,6 +39,9 @@ from survrake.raking import (
     solve_raking,
 )
 from survrake.simulation import ScenarioConfig, generate_cohort, run_scenario
+
+# The whole file is the slow gate; `pytest -m "not gate"` runs the rest.
+pytestmark = pytest.mark.gate
 
 REPS = 500
 

@@ -1,5 +1,7 @@
 """Proportional-hazards fitter checked against independent slow oracles."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -15,6 +17,9 @@ from survrake import (
     log_partial_likelihood,
     score_and_information,
 )
+from survrake import calibration
+from survrake.calibration import rsrc_fit
+from survrake.design import draw_validation
 from survrake.errors import (
     InputError,
     NoEventsError,
@@ -22,12 +27,16 @@ from survrake.errors import (
     SingularInformationError,
 )
 
+from survrake.io import load_scenario
+from survrake.simulation import generate_cohort
+
 from reference import (
     ref_fit,
     ref_information,
     ref_loglik,
     ref_score,
     ref_score_terms,
+    ref_sweep,
 )
 
 
@@ -141,6 +150,107 @@ class TestScoreAndInformation:
             assert_allclose(info[:, j], fd, rtol=1e-4)
 
 
+def evaluate_blocks(blocks, beta):
+    """Log likelihood, score and information of the fitter at ``beta``."""
+    fit = fit_cox_blocks(blocks, CoxOptions(max_iterations=0, initial=beta))
+    return fit.loglik, fit.score, fit.information
+
+
+def loop_oracle(beta, time, event, x, w):
+    return tuple(f(beta, time, event, x, w) for f in (ref_loglik, ref_score, ref_information))
+
+
+def oracle_blocks(blocks, beta, oracle=loop_oracle):
+    """Oracle values summed over blocks, each block on its own risk sets."""
+    per_block = [oracle(beta, b.time, b.event, b.covariates, b.weights) for b in blocks]
+    return [sum(parts) for parts in zip(*per_block)]
+
+
+def assert_matches_oracle(blocks, beta, oracle=None):
+    loglik, score, info = evaluate_blocks(blocks, beta)
+    want_ll, want_score, want_info = oracle or oracle_blocks(blocks, beta)
+    # The score vanishes near the solution, so it is compared on the scale
+    # of its event terms rather than relative to itself.
+    scale = sum(float(b.weights[b.event] @ np.abs(b.covariates[b.event]).sum(axis=1)) for b in blocks)
+    assert_allclose(loglik, want_ll, rtol=1e-12)
+    assert_allclose(score, want_score, rtol=1e-12, atol=1e-12 * scale)
+    assert_allclose(info, want_info, rtol=1e-12, atol=1e-12 * np.abs(want_info).max())
+
+
+@pytest.fixture(scope="module")
+def rsrc_window_blocks():
+    """The window blocks rsrc_fit builds on one bundled-scenario cohort."""
+    config = load_scenario("correlated_error_null")
+    cohort = generate_cohort(config, np.random.default_rng(2024))
+    design = draw_validation(cohort, config.validation)
+    cohort = cohort.with_design(design.selected, design.pi)
+    captured = []
+
+    def capture(blocks, options=None, n_subjects=None):
+        captured.extend(blocks)
+        return fit_cox_blocks(blocks, options, n_subjects)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(calibration, "fit_cox_blocks", capture)
+        fit = rsrc_fit(cohort, config.error_spec, config.rsrc_grid, config.weighting)
+    return captured, fit.beta
+
+
+class TestMomentSweep:
+    """The head cumsum plus tail sum against the risk-set loops."""
+
+    def test_every_event_at_earliest_time(self):
+        # Every record is at risk at every event, so the whole risk set of
+        # each event is the tied group plus the tail.
+        time = np.array([1.0, 1.0, 1.0, 2.0, 3.5, 4.0])
+        event = np.array([True, True, True, False, False, False])
+        x = np.array([[0.3, -1.0], [1.2, 0.4], [-0.7, 0.1], [0.5, 0.9], [-1.1, -0.3], [0.2, 1.5]])
+        w = np.array([1.0, 2.5, 0.7, 1.3, 0.9, 1.8])
+        blocks = [SurvivalData(time, event, x, w)]
+        for beta in (np.zeros(2), np.array([0.6, -0.4])):
+            assert_matches_oracle(blocks, beta)
+
+    def test_ties_at_last_event_time(self):
+        time = np.array([3.0, 1.0, 5.0, 5.0, 5.0, 2.0, 5.0, 7.0, 6.0])
+        event = np.array([True, False, True, False, True, True, True, False, False])
+        x = np.array([[0.3], [-1.0], [1.2], [0.4], [-0.7], [0.1], [0.5], [0.9], [-1.1]])
+        w = np.linspace(0.5, 2.1, 9)
+        blocks = [SurvivalData(time, event, x, w)]
+        for beta in (np.zeros(1), np.array([0.8]), np.array([-1.5])):
+            assert_matches_oracle(blocks, beta)
+
+    def test_block_without_events(self):
+        rng = np.random.default_rng(61)
+        time, event, x, w = random_dataset(rng, n=30)
+        quiet = SurvivalData(rng.uniform(0.1, 3.0, 12), np.zeros(12, dtype=bool), rng.normal(size=(12, 2)))
+        blocks = [SurvivalData(time, event, x, w), quiet]
+        for beta in (np.zeros(2), np.array([0.4, -0.9])):
+            assert_matches_oracle(blocks, beta)
+        split = fit_cox_blocks(blocks)
+        assert_allclose(split.beta, fit_cox(blocks[0]).beta, atol=1e-12)
+
+    @pytest.mark.parametrize("p", [1, 3])
+    def test_covariate_counts_with_weights(self, p):
+        rng = np.random.default_rng(67 + p)
+        time, event, x, w = random_dataset(rng, n=50, p=p)
+        blocks = [SurvivalData(time, event, x, w)]
+        fit = fit_cox(blocks[0])
+        for beta in (np.zeros(p), fit.beta, fit.beta + 0.3):
+            assert_matches_oracle(blocks, beta)
+
+    def test_rsrc_window_blocks(self, rsrc_window_blocks):
+        blocks, beta_hat = rsrc_window_blocks
+        assert len(blocks) > 5
+        # Most records of a window block run through to the window's end,
+        # after its last event, so the tail carries most of each block.
+        for beta in (np.zeros(2), beta_hat):
+            assert_matches_oracle(blocks, beta)
+
+    def test_rsrc_window_blocks_match_full_cumsum_sweep(self, rsrc_window_blocks):
+        blocks, beta_hat = rsrc_window_blocks
+        for beta in (np.zeros(2), beta_hat, beta_hat + 0.3):
+            assert_matches_oracle(blocks, beta, oracle_blocks(blocks, beta, ref_sweep))
+
 class TestInfluenceResiduals:
     def test_per_record_terms_sum_to_score(self):
         # The score decomposition holds at any beta, not only the optimum.
@@ -152,13 +262,22 @@ class TestInfluenceResiduals:
 
     def test_matches_reference_decomposition(self):
         rng = np.random.default_rng(19)
-        time, event, x, w = random_dataset(rng, n=25)
+        for p in (1, 2, 3):
+            time, event, x, w = random_dataset(rng, n=25, p=p)
+            data = SurvivalData(time, event, x, w)
+            fit = fit_cox(data)
+            dfb = dfbeta_residuals(fit, data)
+            expected = ref_score_terms(fit.beta, time, event, x, w) @ np.linalg.inv(fit.information)
+            assert_allclose(dfb, expected, rtol=1e-12, atol=1e-12)
+
+    def test_singular_information_raises(self):
+        rng = np.random.default_rng(31)
+        time, event, x, w = random_dataset(rng, n=30)
         data = SurvivalData(time, event, x, w)
         fit = fit_cox(data)
-        dfb = dfbeta_residuals(fit, data)
-        terms = ref_score_terms(fit.beta, time, event, x, w)
-        expected = np.linalg.solve(fit.information, terms.T).T
-        assert_allclose(dfb, expected, rtol=1e-8, atol=1e-12)
+        singular = replace(fit, information=np.ones((2, 2)))
+        with pytest.raises(SingularInformationError):
+            dfbeta_residuals(singular, data)
 
     def test_columns_sum_to_zero_at_solution(self):
         rng = np.random.default_rng(23)

@@ -418,8 +418,7 @@ def rsrc_fit(
         raise NoEventsError("no error-prone events; the risk-set grid is undefined")
 
     event_times = u0[event]
-    cuts = [0.0] + [float(np.quantile(event_times, g)) for g in grid if g > 0.0]
-    cuts = np.unique(cuts)
+    cuts = np.unique([0.0, *np.quantile(event_times, [g for g in grid if g > 0.0])])
     n_windows = len(cuts)
 
     # Window of each subject's stage-one exit; exits at a boundary belong

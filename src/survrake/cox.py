@@ -29,7 +29,6 @@ from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, LinAlgError
 
 from .errors import (
     InputError,
@@ -191,12 +190,25 @@ class CoxFit:
     def covariance(self) -> np.ndarray:
         """Inverse information; model-based variance of ``beta``."""
         try:
-            return cho_solve(cho_factor(self.information), np.eye(len(self.beta)))
-        except (LinAlgError, ValueError) as exc:
+            return _solve_pd(self.information, np.eye(len(self.beta)))
+        except np.linalg.LinAlgError as exc:
             raise SingularInformationError(str(exc)) from None
 
     def standard_errors(self) -> np.ndarray:
         return np.sqrt(np.diag(self.covariance()))
+
+
+def _solve_pd(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve ``matrix @ x = rhs`` for a small symmetric positive definite matrix.
+
+    Raises np.linalg.LinAlgError when the matrix is not finite or not
+    positive definite. numpy's Cholesky does not raise on NaN or inf
+    entries, so those are rejected first.
+    """
+    if not np.isfinite(matrix).all():
+        raise np.linalg.LinAlgError("matrix has non-finite entries")
+    lower = np.linalg.cholesky(matrix)
+    return np.linalg.solve(lower.T, np.linalg.solve(lower, rhs))
 
 
 @lru_cache(maxsize=None)
@@ -365,8 +377,8 @@ def fit_cox_blocks(
             converged = True
             break
         try:
-            direction = cho_solve(cho_factor(info), score)
-        except (LinAlgError, ValueError) as exc:
+            direction = _solve_pd(info, score)
+        except np.linalg.LinAlgError as exc:
             if np.abs(score).max() < score_tol:
                 # Flat plateau: the score already vanished but curvature
                 # decayed with it, as under a monotone likelihood. Stop at
@@ -437,8 +449,8 @@ def _dfbetas(prepared, beta, info, n_subjects):
     # triangular solve with one right-hand side per row would let the BLAS
     # start threads in every pool worker.
     try:
-        inv_info = cho_solve(cho_factor(info), np.eye(beta.size))
-    except (LinAlgError, ValueError) as exc:
+        inv_info = _solve_pd(info, np.eye(beta.size))
+    except np.linalg.LinAlgError as exc:
         raise SingularInformationError(str(exc)) from None
     return terms @ inv_info
 

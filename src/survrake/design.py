@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.stats import norm
 
 from .cohort import CohortData
 from .errors import (
@@ -210,8 +209,10 @@ class BootstrapResult:
 
     def normal_ci(self, center: np.ndarray, level: float = 0.95) -> np.ndarray:
         """Normal-theory interval around a given point estimate."""
+        from scipy.special import ndtri
+
         center = np.atleast_1d(np.asarray(center, dtype=float))
-        half = norm.ppf(1.0 - (1.0 - level) / 2.0) * self.se
+        half = ndtri(1.0 - (1.0 - level) / 2.0) * self.se
         return np.column_stack([center - half, center + half])
 
 

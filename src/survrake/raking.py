@@ -14,11 +14,10 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .calibration import ErrorModelSpec, Weighting, apply_rc, build_calibration
 from .cohort import CohortData
-from .cox import CoxFit, CoxOptions, SurvivalData, fit_cox
+from .cox import CoxFit, CoxOptions, SurvivalData, _solve_pd, fit_cox
 from .design import TwoPhaseDesign
 from .errors import (
     ConvergenceError,
@@ -139,14 +138,13 @@ def solve_raking(
     scale = 1.0 + float(np.abs(totals).max())
 
     bhat = np.einsum("i,ij,ik->jk", base_weights, a_sel, a_sel)
+    ht_gap = a_sel.T @ base_weights - totals
     try:
-        factor = cho_factor(bhat)
+        lam = _solve_pd(bhat, ht_gap)
     except np.linalg.LinAlgError as exc:
         raise SingularCalibrationError(
             "the weighted auxiliary cross-product matrix is singular"
         ) from exc
-    ht_gap = a_sel.T @ base_weights - totals
-    lam = cho_solve(factor, ht_gap)
 
     def constraint_gap(lam_vec):
         with np.errstate(over="ignore"):
@@ -166,7 +164,7 @@ def solve_raking(
         # step adds the solved direction.
         hessian = np.einsum("i,ij,ik->jk", gweights, a_sel, a_sel)
         try:
-            step = cho_solve(cho_factor(hessian), gap)
+            step = _solve_pd(hessian, gap)
         except np.linalg.LinAlgError as exc:
             raise SingularCalibrationError(
                 "the raking Newton system became singular"

@@ -26,10 +26,6 @@ from enum import Enum
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import roots_hermitenorm
-from scipy.stats import gamma as gamma_dist
-from scipy.stats import norm
 
 from .calibration import DEFAULT_RSRC_GRID, ErrorMode, ErrorModelSpec, Weighting, rc_fit, rsrc_fit
 from .cohort import CohortData
@@ -38,7 +34,10 @@ from .design import SamplingPlan, draw_validation, stratified_bootstrap
 from .errors import EstimationError, InvalidConfigError, NotBracketedError
 from .raking import grn_estimate, grrc_estimate, ht_estimate
 
-Z_CRITICAL = float(norm.ppf(0.975))
+# The two-sided 95 % normal critical value, norm.ppf(0.975) to the last bit.
+# scipy is imported only inside the functions that need it, so importing
+# survrake (and running ``survrake fit``) loads numpy alone.
+Z_CRITICAL = 1.959963984540054
 
 ESTIMATOR_NAMES = ("true", "naive", "complete", "ht", "rc", "rsrc", "grn", "grrc")
 DEFAULT_ESTIMATORS = ("true", "naive", "complete", "rc", "rsrc", "grn", "grrc")
@@ -325,11 +324,13 @@ def _standardized_gamma(w, shape):
     cdf rounds to exactly one beyond about eight standard deviations,
     which would map those draws to infinity.
     """
+    from scipy.special import gammainccinv, gammaincinv, ndtr
+
     w = np.asarray(w, dtype=float)
     raw = np.where(
         w > 0.0,
-        gamma_dist.isf(norm.sf(w), a=shape),
-        gamma_dist.ppf(norm.cdf(w), a=shape),
+        gammainccinv(shape, ndtr(-w)),
+        gammaincinv(shape, ndtr(w)),
     )
     return (raw - shape) / math.sqrt(shape)
 
@@ -343,6 +344,9 @@ def _copula_corr(shape: float, target: float, nodes: int = 64) -> float:
     transform, using Gauss-Hermite quadrature, and solves for the r whose
     induced correlation equals ``target``.
     """
+    from scipy.optimize import brentq
+    from scipy.special import roots_hermitenorm
+
     points, weights = roots_hermitenorm(nodes)
     gvals = _standardized_gamma(points, shape)
     norm_const = weights.sum() ** 2
@@ -703,6 +707,8 @@ def tune_censoring(
     censoring. Raises NotBracketedError, reporting the achievable range,
     when the target exceeds what the fixed length allows.
     """
+    from scipy.optimize import brentq
+
     if target is None:
         target = config.censor_target
     target = float(target)

@@ -3,11 +3,15 @@
 import json
 import math
 import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import survrake
 from survrake.calibration import ErrorModelSpec, rc_fit
 from survrake.cli import main
 from survrake.cox import SurvivalData, fit_cox
@@ -316,7 +320,28 @@ class TestTuneCommand:
 
 class TestVersionCommand:
     def test_prints_version(self, capsys):
-        import survrake
-
         assert main(["version"]) == 0
         assert capsys.readouterr().out == f"survrake {survrake.__version__}\n"
+
+
+class TestImportFootprint:
+    def test_fit_loads_no_scipy(self, tmp_path):
+        # scipy costs most of a fresh process's start-up, so the analyst's
+        # path must load it nowhere: not at import, not in a bootstrap fit.
+        script = textwrap.dedent(
+            f"""
+            import sys
+            from survrake.cli import main
+            args = ["fit", {str(EXAMPLE)!r}, "--estimator", "grrc", "--bootstrap", "5",
+                    "--out", {str(tmp_path)!r}]
+            assert main(args) == 0
+            print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+            """
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(survrake.__file__)))
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[]"
+        assert (tmp_path / "fit_grrc.csv").exists()

@@ -275,9 +275,12 @@ class TestInfluenceResiduals:
         time, event, x, w = random_dataset(rng, n=30)
         data = SurvivalData(time, event, x, w)
         fit = fit_cox(data)
-        singular = replace(fit, information=np.ones((2, 2)))
-        with pytest.raises(SingularInformationError):
-            dfbeta_residuals(singular, data)
+        for bad in (np.ones((2, 2)), np.array([[np.nan, 0.0], [0.0, 1.0]]), np.full((2, 2), np.inf)):
+            singular = replace(fit, information=bad)
+            with pytest.raises(SingularInformationError):
+                dfbeta_residuals(singular, data)
+            with pytest.raises(SingularInformationError):
+                singular.covariance()
 
     def test_columns_sum_to_zero_at_solution(self):
         rng = np.random.default_rng(23)

@@ -249,7 +249,12 @@ class TestStratifiedBootstrap:
             center=np.array([2.0]),
         )
         half = norm.ppf(0.975) * result.se[0]
-        assert_allclose(result.ci, [[2.0 - half, 2.0 + half]])
+        assert_array_equal(result.ci, [[2.0 - half, 2.0 + half]])
+        for level in (0.5, 0.8, 0.9, 0.99, 0.999):
+            half = norm.ppf(1.0 - (1.0 - level) / 2.0) * result.se
+            assert_array_equal(
+                result.normal_ci(np.array([2.0]), level), np.column_stack([2.0 - half, 2.0 + half])
+            )
 
     def test_percentile_interval_brackets_estimates(self):
         estimator = lambda c, d: np.array([c.time_star.mean()])

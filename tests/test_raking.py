@@ -189,6 +189,18 @@ class TestSolveRaking:
         with pytest.raises(SingularCalibrationError):
             solve_raking(design, AuxiliaryMatrix(np.column_stack([col, 2 * col])))
 
+    def test_nonfinite_newton_system_rejected(self):
+        # Validated auxiliaries all on the opposite side of the cohort
+        # totals: the adjustment factors overflow and the Newton Hessian
+        # turns non-finite, which must surface as a calibration failure
+        # the bootstrap counts as a dropped replicate.
+        aux = np.random.default_rng(11).standard_normal((50, 2))
+        selected = np.arange(50) < 10
+        aux = np.where(selected[:, None], -np.abs(aux), np.abs(aux))
+        design = TwoPhaseDesign(selected, np.full(50, 0.2))
+        with pytest.raises(SingularCalibrationError):
+            solve_raking(design, AuxiliaryMatrix(aux))
+
     def test_empty_validation_rejected(self):
         design = TwoPhaseDesign(np.zeros(4, dtype=bool), np.full(4, 0.5))
         with pytest.raises(EmptyValidationError):

@@ -5,6 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from numpy.testing import assert_array_equal
+from scipy.stats import gamma as gamma_dist
+from scipy.stats import norm
 
 from survrake.calibration import ErrorMode, Weighting
 from survrake.design import SamplingPlan
@@ -12,6 +15,7 @@ from survrake.errors import InvalidConfigError, NotBracketedError
 from survrake.simulation import (
     DEFAULT_ESTIMATORS,
     ESTIMATOR_NAMES,
+    Z_CRITICAL,
     ErrorDistribution,
     ErrorKind,
     ScenarioConfig,
@@ -20,6 +24,7 @@ from survrake.simulation import (
     resolve_workers,
     run_scenario,
     tune_censoring,
+    _standardized_gamma,
 )
 
 BX = math.log(1.5)
@@ -75,6 +80,27 @@ class TestErrorDistribution:
     def test_unknown_keys_rejected(self):
         with pytest.raises(InvalidConfigError):
             ErrorDistribution.from_dict({"kind": "normal", "scale": 2.0})
+
+
+class TestNormalAndGammaTransforms:
+    """The scipy.special forms the generator uses match scipy.stats bit for bit."""
+
+    def test_z_critical_is_the_normal_quantile(self):
+        assert Z_CRITICAL == float(norm.ppf(0.975))
+
+    @pytest.mark.parametrize("shape", [0.5, 2.0, 5.0])
+    def test_standardized_gamma_matches_distribution_functions(self, shape):
+        # Beyond about 8 standard deviations the upper tail needs the
+        # survival-function branch; +-40 covers it on both sides.
+        w = np.concatenate(
+            [np.linspace(-40.0, 40.0, 8001), np.random.default_rng(3).standard_normal(20_000)]
+        )
+        raw = np.where(
+            w > 0.0,
+            gamma_dist.isf(norm.sf(w), a=shape),
+            gamma_dist.ppf(norm.cdf(w), a=shape),
+        )
+        assert_array_equal(_standardized_gamma(w, shape), (raw - shape) / math.sqrt(shape))
 
 
 class TestScenarioConfig:

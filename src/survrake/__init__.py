@@ -28,7 +28,6 @@ from .cox import (
     CoxFit,
     CoxOptions,
     SurvivalData,
-    SurvivalRecord,
     dfbeta_residuals,
     fit_cox,
     fit_cox_blocks,

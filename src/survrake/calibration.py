@@ -284,7 +284,6 @@ class CalibratedCohort:
     x_hat: np.ndarray
     u_hat: np.ndarray
     event: np.ndarray
-    provenance: CalibrationModel
     n_clamped: int
 
 
@@ -309,7 +308,7 @@ def _squeeze_below_floor(u: np.ndarray, floor: float) -> tuple[np.ndarray, int]:
     return out, n_below
 
 
-def apply_rc(cohort: CohortData, model: CalibrationModel, spec: ErrorModelSpec | None = None) -> CalibratedCohort:
+def apply_rc(cohort: CohortData, model: CalibrationModel) -> CalibratedCohort:
     """Impute corrected covariates and times for all phase-one subjects.
 
     The event indicator passes through unchanged: the correction adjusts
@@ -318,9 +317,6 @@ def apply_rc(cohort: CohortData, model: CalibrationModel, spec: ErrorModelSpec |
     into (0, floor] in their original order, so the fit's risk sets are
     unaffected by the repair.
     """
-    spec = model.spec if spec is None else spec
-    if spec != model.spec:
-        raise InvalidConfigError("error-model spec disagrees with the fitted model's")
     model._check(cohort)
     x_hat = model.predict_x(cohort)
     u_hat = cohort.time_star - model.predict_omega(cohort)
@@ -333,7 +329,6 @@ def apply_rc(cohort: CohortData, model: CalibrationModel, spec: ErrorModelSpec |
         x_hat=x_hat,
         u_hat=u_hat,
         event=cohort.delta_star.copy(),
-        provenance=model,
         n_clamped=n_clamped,
     )
 

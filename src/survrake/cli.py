@@ -19,10 +19,10 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from .calibration import ErrorModelSpec, Weighting, rc_fit, rsrc_fit
-from .cox import SurvivalData, fit_cox
+from .calibration import ErrorModelSpec, Weighting
 from .design import stratified_bootstrap
 from .errors import EstimationError, InputError, InvalidConfigError
+from .estimators import ESTIMATORS, runner
 from .io import (
     RunManifest,
     canonical_scenario_name,
@@ -35,13 +35,7 @@ from .io import (
     write_scenario_csv,
     write_text,
 )
-from .raking import grn_estimate, grrc_estimate, ht_estimate
 from .simulation import run_scenario, tune_censoring
-
-FIT_ESTIMATORS = ("naive", "true", "ht", "rc", "rsrc", "grn", "grrc")
-
-_NEEDS_DESIGN = frozenset({"ht", "grn", "grrc"})
-_NEEDS_TRUTH = frozenset({"true", "ht", "rc", "rsrc", "grn", "grrc"})
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -57,7 +51,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fit = sub.add_parser("fit", help="run one estimator on a two-phase CSV dataset")
     fit.add_argument("dataset", help="path to the analysis CSV file")
     fit.add_argument(
-        "--estimator", required=True, choices=FIT_ESTIMATORS,
+        "--estimator", required=True, choices=tuple(ESTIMATORS),
         help="which estimator to run",
     )
     fit.add_argument(
@@ -137,31 +131,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _fit_runner(estimator: str, spec: ErrorModelSpec, weighting: Weighting):
-    """Build the ``(cohort, design) -> fit`` callable for one estimator."""
-    if estimator == "naive":
-        return lambda c, d: fit_cox(
-            SurvivalData(c.time_star, c.delta_star, c.phase_one_covariates())
-        )
-    if estimator == "true":
-        return lambda c, d: fit_cox(
-            SurvivalData(
-                c.time[c.selected],
-                c.delta[c.selected].astype(bool),
-                c.validated_covariates(),
-            )
-        )
-    if estimator == "ht":
-        return lambda c, d: ht_estimate(c, d)
-    if estimator == "rc":
-        return lambda c, d: rc_fit(c, spec, weighting)
-    if estimator == "rsrc":
-        return lambda c, d: rsrc_fit(c, spec, weighting=weighting)
-    if estimator == "grn":
-        return lambda c, d: grn_estimate(c, d)
-    return lambda c, d: grrc_estimate(c, d, spec)
-
-
 def _coefficient_names(estimator: str, dataset) -> tuple[str, ...]:
     if estimator == "naive":
         return (*dataset.x_star_names, *dataset.z_names)
@@ -171,23 +140,24 @@ def _coefficient_names(estimator: str, dataset) -> tuple[str, ...]:
 
 def _cmd_fit(args) -> int:
     dataset = load_dataset(args.dataset)
-    if args.estimator in _NEEDS_TRUTH and dataset.time is None:
+    estimator = ESTIMATORS[args.estimator]
+    if estimator.truth != "none" and dataset.time is None:
         raise InvalidConfigError(
             f"estimator {args.estimator} needs the validated truth columns, "
             "which the dataset does not carry"
         )
     cohort = dataset.to_cohort()
-    design = (
-        dataset.to_design()
-        if args.estimator in _NEEDS_DESIGN or args.bootstrap
-        else None
-    )
+    if estimator.truth == "all" and not cohort.selected.all():
+        raise InvalidConfigError(
+            f"estimator {args.estimator} fits the truth of every subject, but only "
+            f"{cohort.n_selected} of {cohort.n} are validated; "
+            "--estimator complete fits the validated rows"
+        )
+    design = dataset.to_design() if estimator.needs_design or args.bootstrap else None
     spec = ErrorModelSpec(args.error_mode, regress_omega_on=args.omega_regressors)
     weighting = Weighting(args.weighting)
-    runner = _fit_runner(args.estimator, spec, weighting)
-    result = runner(cohort, design)
-    fit = result[0] if isinstance(result, tuple) else result
-    beta = np.asarray(fit.beta, dtype=float)
+    fit_fn = runner(args.estimator, spec, weighting)
+    beta = np.asarray(fit_fn(cohort, design).beta, dtype=float)
     names = _coefficient_names(args.estimator, dataset)
     if len(names) != beta.shape[0]:
         names = tuple(f"coef{i + 1}" for i in range(beta.shape[0]))
@@ -197,7 +167,7 @@ def _cmd_fit(args) -> int:
         boot = stratified_bootstrap(
             cohort,
             design,
-            runner,
+            fit_fn,
             args.bootstrap,
             seed=args.seed,
             ci_level=args.ci_level,

@@ -38,7 +38,6 @@ from .errors import (
 )
 
 __all__ = [
-    "SurvivalRecord",
     "SurvivalData",
     "CoxOptions",
     "CoxFit",
@@ -48,23 +47,6 @@ __all__ = [
     "score_and_information",
     "dfbeta_residuals",
 ]
-
-
-@dataclass(frozen=True)
-class SurvivalRecord:
-    """One right-censored observation.
-
-    Attributes:
-        time: nonnegative follow-up time.
-        event: True if the follow-up ended in an event, False if censored.
-        covariates: covariate values for this record.
-        weight: positive sampling or calibration weight.
-    """
-
-    time: float
-    event: bool
-    covariates: tuple[float, ...]
-    weight: float = 1.0
 
 
 class SurvivalData:
@@ -116,15 +98,6 @@ class SurvivalData:
         self.covariates = np.ascontiguousarray(covariates)
         self.weights = weights
         self.subject = subject
-
-    @classmethod
-    def from_records(cls, records: Sequence[SurvivalRecord]) -> "SurvivalData":
-        return cls(
-            time=[r.time for r in records],
-            event=[r.event for r in records],
-            covariates=[r.covariates for r in records],
-            weights=[r.weight for r in records],
-        )
 
     @property
     def n(self) -> int:

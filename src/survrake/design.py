@@ -191,29 +191,15 @@ def draw_validation(cohort: CohortData, plan: SamplingPlan) -> TwoPhaseDesign:
 class BootstrapResult:
     """Replicate estimates and the summaries derived from them.
 
-    ``ci`` holds the interval built by the requested method at the
-    requested level, one row per coefficient.
+    ``ci`` holds the equal-tailed percentile interval at the requested
+    level, one row per coefficient.
     """
 
     estimates: np.ndarray
     se: np.ndarray
     ci: np.ndarray
-    ci_method: str
     b_effective: int
     n_failed: int
-
-    def percentile_ci(self, level: float = 0.95) -> np.ndarray:
-        """Equal-tailed percentile interval across replicates."""
-        alpha = (1.0 - level) / 2.0
-        return np.quantile(self.estimates, [alpha, 1.0 - alpha], axis=0).T
-
-    def normal_ci(self, center: np.ndarray, level: float = 0.95) -> np.ndarray:
-        """Normal-theory interval around a given point estimate."""
-        from scipy.special import ndtri
-
-        center = np.atleast_1d(np.asarray(center, dtype=float))
-        half = ndtri(1.0 - (1.0 - level) / 2.0) * self.se
-        return np.column_stack([center - half, center + half])
 
 
 def _extract_beta(result) -> np.ndarray:
@@ -229,9 +215,6 @@ def stratified_bootstrap(
     estimator,
     B: int,
     seed: int = 0,
-    replicate_seeds=None,
-    ci_method: str = "percentile",
-    center=None,
     ci_level: float = 0.95,
     max_failure_fraction: float = 0.1,
 ) -> BootstrapResult:
@@ -242,8 +225,7 @@ def stratified_bootstrap(
     the estimator from scratch on the resampled cohort and design (the
     resampled rows arrive validated-first). Replicates live on private RNG
     streams derived from (seed, replicate index), so execution order cannot
-    change the draws; ``replicate_seeds`` overrides those streams one seed
-    per replicate. Replicates whose estimator raises an estimation error
+    change the draws. Replicates whose estimator raises an estimation error
     are dropped and counted; more than ``max_failure_fraction`` of them
     failing is an error, as is losing every replicate.
 
@@ -255,20 +237,13 @@ def stratified_bootstrap(
         raise InvalidConfigError("the bootstrap needs at least two replicates")
     if design.n != cohort.n:
         raise InputError(f"design covers {design.n} subjects, cohort has {cohort.n}")
-    if replicate_seeds is not None and len(replicate_seeds) != B:
-        raise InvalidConfigError("replicate_seeds must provide one seed per replicate")
-    if ci_method not in ("percentile", "normal"):
-        raise InvalidConfigError(f"unknown CI method: {ci_method!r}")
-    if ci_method == "normal" and center is None:
-        raise InvalidConfigError("normal-theory intervals need the point estimate")
 
     validated = np.flatnonzero(design.selected)
     unvalidated = np.flatnonzero(~design.selected)
     estimates = []
     n_failed = 0
     for b in range(B):
-        entropy = replicate_seeds[b] if replicate_seeds is not None else (seed, b)
-        rng = np.random.default_rng(np.random.SeedSequence(entropy))
+        rng = np.random.default_rng(np.random.SeedSequence((seed, b)))
         rows = [
             rng.choice(stratum, stratum.size, replace=True)
             for stratum in (validated, unvalidated)
@@ -287,25 +262,11 @@ def stratified_bootstrap(
             f"{max_failure_fraction:.0%} allowance"
         )
     matrix = np.vstack(estimates)
-    se = matrix.std(axis=0, ddof=1)
-    partial = BootstrapResult(
-        estimates=matrix,
-        se=se,
-        ci=np.empty((matrix.shape[1], 2)),
-        ci_method=ci_method,
-        b_effective=matrix.shape[0],
-        n_failed=n_failed,
-    )
-    ci = (
-        partial.percentile_ci(ci_level)
-        if ci_method == "percentile"
-        else partial.normal_ci(center, ci_level)
-    )
+    alpha = (1.0 - ci_level) / 2.0
     return BootstrapResult(
         estimates=matrix,
-        se=se,
-        ci=ci,
-        ci_method=ci_method,
+        se=matrix.std(axis=0, ddof=1),
+        ci=np.quantile(matrix, [alpha, 1.0 - alpha], axis=0).T,
         b_effective=matrix.shape[0],
         n_failed=n_failed,
     )

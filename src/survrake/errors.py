@@ -94,10 +94,6 @@ class DegenerateAuxiliaryError(EstimationError):
     """An auxiliary column is constant at zero or otherwise uninformative."""
 
 
-class InsufficientRiskSetError(EstimationError):
-    """A risk-set stratum has too few validated members to refit on."""
-
-
 class BootstrapFailureError(EstimationError):
     """Too many bootstrap replicates failed to produce estimates."""
 

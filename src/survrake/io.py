@@ -41,6 +41,7 @@ __all__ = [
     "RunManifest",
     "SCENARIO_ALIASES",
     "canonical_scenario_name",
+    "example_dataset_path",
     "format_fit_text",
     "format_scenario_text",
     "list_scenarios",

@@ -27,22 +27,18 @@ from functools import lru_cache
 
 import numpy as np
 
-from .calibration import DEFAULT_RSRC_GRID, ErrorMode, ErrorModelSpec, Weighting, rc_fit, rsrc_fit
+from .calibration import DEFAULT_RSRC_GRID, ErrorMode, ErrorModelSpec, Weighting
 from .cohort import CohortData
-from .cox import SurvivalData, fit_cox
 from .design import SamplingPlan, draw_validation, stratified_bootstrap
 from .errors import EstimationError, InvalidConfigError, NotBracketedError
-from .raking import grn_estimate, grrc_estimate, ht_estimate
+from .estimators import ESTIMATOR_NAMES, ESTIMATORS, runner
 
 # The two-sided 95 % normal critical value, norm.ppf(0.975) to the last bit.
 # scipy is imported only inside the functions that need it, so importing
 # survrake (and running ``survrake fit``) loads numpy alone.
 Z_CRITICAL = 1.959963984540054
 
-ESTIMATOR_NAMES = ("true", "naive", "complete", "ht", "rc", "rsrc", "grn", "grrc")
 DEFAULT_ESTIMATORS = ("true", "naive", "complete", "rc", "rsrc", "grn", "grrc")
-_EST_INDEX = {name: i for i, name in enumerate(ESTIMATOR_NAMES)}
-_BOOTSTRAP_SE = frozenset({"rc", "rsrc", "grn", "grrc", "ht"})
 
 
 class ErrorKind(str, Enum):
@@ -206,7 +202,7 @@ class ScenarioConfig:
         object.__setattr__(self, "reps", int(self.reps))
         object.__setattr__(self, "seed", int(self.seed))
         estimators = tuple(str(e) for e in self.estimators)
-        unknown = [e for e in estimators if e not in _EST_INDEX]
+        unknown = [e for e in estimators if e not in ESTIMATORS]
         if unknown:
             raise InvalidConfigError(
                 f"unknown estimators {unknown}; choose from {ESTIMATOR_NAMES}"
@@ -457,44 +453,8 @@ def generate_cohort(config: ScenarioConfig, rng) -> CohortData:
 
 
 def _boot_seed(config: ScenarioConfig, rep: int, est: str) -> int:
-    stream = np.random.SeedSequence((config.seed, rep, 2, _EST_INDEX[est]))
+    stream = np.random.SeedSequence((config.seed, rep, 2, ESTIMATOR_NAMES.index(est)))
     return int(stream.generate_state(1, np.uint64)[0])
-
-
-def _model_fit(est: str, cohort: CohortData):
-    """Unweighted proportional-hazards fit for a reference estimator."""
-    if est == "true":
-        data = SurvivalData(
-            cohort.time,
-            cohort.delta.astype(bool),
-            np.column_stack([cohort.x, cohort.z]),
-        )
-    elif est == "naive":
-        data = SurvivalData(
-            cohort.time_star, cohort.delta_star, cohort.phase_one_covariates()
-        )
-    else:
-        sel = cohort.selected
-        data = SurvivalData(
-            cohort.time[sel],
-            cohort.delta[sel].astype(bool),
-            cohort.validated_covariates(),
-        )
-    return fit_cox(data)
-
-
-def _corrected_runner(est: str, config: ScenarioConfig):
-    """Estimator callable with the (cohort, design) bootstrap signature."""
-    spec = config.error_spec
-    if est == "rc":
-        return lambda c, d: rc_fit(c, spec, config.weighting)
-    if est == "rsrc":
-        return lambda c, d: rsrc_fit(c, spec, config.rsrc_grid, config.weighting)
-    if est == "grn":
-        return lambda c, d: grn_estimate(c, d)
-    if est == "grrc":
-        return lambda c, d: grrc_estimate(c, d, spec)
-    return lambda c, d: ht_estimate(c, d)
 
 
 def _run_replicate(config: ScenarioConfig, rep: int) -> dict:
@@ -516,24 +476,22 @@ def _run_replicate(config: ScenarioConfig, rep: int) -> dict:
     plan = replace(config.validation, seed=val_seed)
     design = draw_validation(cohort, plan)
     cohort = cohort.with_design(design.selected, design.pi)
+    spec = config.error_spec
     out = {}
     for est in config.estimators:
+        fit_fn = runner(est, spec, config.weighting, config.rsrc_grid)
         try:
-            if est not in _BOOTSTRAP_SE:
-                fit = _model_fit(est, cohort)
-                out[est] = (float(fit.beta[0]), float(fit.standard_errors()[0]))
-                continue
-            runner = _corrected_runner(est, config)
-            result = runner(cohort, design)
-            fit = result[0] if isinstance(result, tuple) else result
+            fit = fit_fn(cohort, design)
             beta = float(fit.beta[0])
-            if config.bootstrap_b is None:
+            if ESTIMATORS[est].model_se:
+                out[est] = (beta, float(fit.standard_errors()[0]))
+            elif config.bootstrap_b is None:
                 out[est] = (beta, None)
             else:
                 boot = stratified_bootstrap(
                     cohort,
                     design,
-                    runner,
+                    fit_fn,
                     config.bootstrap_b,
                     seed=_boot_seed(config, rep, est),
                 )

@@ -320,12 +320,6 @@ class TestApplyRc:
         with pytest.raises(DimensionMismatchError):
             apply_rc(make_cohort(seed=26, p=1), model)
 
-    def test_spec_disagreement_rejected(self):
-        cohort = make_cohort(seed=27)
-        model = build_calibration(cohort, BOTH)
-        with pytest.raises(InvalidConfigError):
-            apply_rc(cohort, model, spec=OUTCOME_ONLY)
-
 
 class TestRcFit:
     def test_matches_manual_pipeline(self):

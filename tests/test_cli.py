@@ -200,9 +200,29 @@ class TestFitCommand:
                      "--out", str(tmp_path)]) == 2
         assert "truth" in capsys.readouterr().err
 
+    def test_complete_matches_validated_rows_fit(self, tmp_path):
+        assert main(["fit", EXAMPLE, "--estimator", "complete",
+                     "--out", str(tmp_path)]) == 0
+        cohort = load_dataset(EXAMPLE).to_cohort()
+        sel = cohort.selected
+        fit = fit_cox(
+            SurvivalData(
+                cohort.time[sel], cohort.delta[sel].astype(bool), cohort.validated_covariates()
+            )
+        )
+        table = read_estimates(tmp_path / "fit_complete.csv")
+        assert table["x"][0] == float(fit.beta[0])
+        assert table["z"][0] == float(fit.beta[1])
+
+    def test_true_on_partly_validated_dataset_exits_2(self, tmp_path, capsys):
+        assert main(["fit", EXAMPLE, "--estimator", "true",
+                     "--out", str(tmp_path)]) == 2
+        assert "complete" in capsys.readouterr().err
+        assert not (tmp_path / "fit_true.csv").exists()
+
     def test_estimation_failure_exits_3(self, tmp_path, capsys):
         path = write_eventless_validation(tmp_path)
-        assert main(["fit", path, "--estimator", "true",
+        assert main(["fit", path, "--estimator", "complete",
                      "--out", str(tmp_path)]) == 3
         assert "estimation error" in capsys.readouterr().err
 

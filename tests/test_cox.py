@@ -10,7 +10,6 @@ from scipy.optimize import brentq
 from survrake import (
     CoxOptions,
     SurvivalData,
-    SurvivalRecord,
     dfbeta_residuals,
     fit_cox,
     fit_cox_blocks,
@@ -450,25 +449,6 @@ class TestEdgesAndValidation:
         score, info = score_and_information(np.zeros(1), data)
         assert_allclose(fit.score, score, atol=1e-14)
         assert_allclose(fit.information, info, atol=1e-14)
-
-    def test_from_records_matches_arrays(self):
-        records = [
-            SurvivalRecord(2.0, True, (0.3, 1.0), 1.5),
-            SurvivalRecord(1.0, False, (-0.4, 0.0), 1.0),
-            SurvivalRecord(4.0, True, (0.8, -1.0), 2.0),
-            SurvivalRecord(3.0, False, (-0.5, 0.6), 1.2),
-            SurvivalRecord(5.0, False, (0.1, -0.3), 0.8),
-        ]
-        via_records = fit_cox(SurvivalData.from_records(records))
-        via_arrays = fit_cox(
-            SurvivalData(
-                [2.0, 1.0, 4.0, 3.0, 5.0],
-                [True, False, True, False, False],
-                [[0.3, 1.0], [-0.4, 0.0], [0.8, -1.0], [-0.5, 0.6], [0.1, -0.3]],
-                [1.5, 1.0, 2.0, 1.2, 0.8],
-            )
-        )
-        assert_array_equal(via_records.beta, via_arrays.beta)
 
     def test_model_standard_errors_match_information(self):
         rng = np.random.default_rng(59)

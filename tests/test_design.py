@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
-from scipy.stats import norm
 
 from survrake.calibration import ErrorMode, ErrorModelSpec, rc_fit
 from survrake.cohort import CohortData
@@ -181,14 +180,6 @@ class TestStratifiedBootstrap:
         assert result.b_effective == 10
         assert result.n_failed == 0
 
-    def test_identical_replicate_seeds_are_identical(self):
-        estimator = lambda c, d: np.array([c.time_star.mean(), c.z.mean()])
-        result = stratified_bootstrap(
-            self.cohort, self.design, estimator, B=2, replicate_seeds=[7, 7]
-        )
-        assert_array_equal(result.estimates[0], result.estimates[1])
-        assert_array_equal(result.se, [0.0, 0.0])
-
     def test_strata_sizes_preserved_and_validated_first(self):
         recorder = ReplicateRecorder()
         stratified_bootstrap(self.cohort, self.design, recorder, B=5, seed=3)
@@ -237,25 +228,6 @@ class TestStratifiedBootstrap:
         assert result.n_failed > 0
         assert result.b_effective == 40 - result.n_failed
 
-    def test_normal_interval_uses_center(self):
-        estimator = lambda c, d: np.array([c.time_star.mean()])
-        result = stratified_bootstrap(
-            self.cohort,
-            self.design,
-            estimator,
-            B=30,
-            seed=8,
-            ci_method="normal",
-            center=np.array([2.0]),
-        )
-        half = norm.ppf(0.975) * result.se[0]
-        assert_array_equal(result.ci, [[2.0 - half, 2.0 + half]])
-        for level in (0.5, 0.8, 0.9, 0.99, 0.999):
-            half = norm.ppf(1.0 - (1.0 - level) / 2.0) * result.se
-            assert_array_equal(
-                result.normal_ci(np.array([2.0]), level), np.column_stack([2.0 - half, 2.0 + half])
-            )
-
     def test_percentile_interval_brackets_estimates(self):
         estimator = lambda c, d: np.array([c.time_star.mean()])
         result = stratified_bootstrap(self.cohort, self.design, estimator, B=30, seed=9)
@@ -281,14 +253,6 @@ class TestStratifiedBootstrap:
         ok = lambda c, d: np.array([1.0])
         with pytest.raises(InvalidConfigError):
             stratified_bootstrap(self.cohort, self.design, ok, B=1)
-        with pytest.raises(InvalidConfigError):
-            stratified_bootstrap(self.cohort, self.design, ok, B=4, ci_method="bca")
-        with pytest.raises(InvalidConfigError):
-            stratified_bootstrap(self.cohort, self.design, ok, B=4, ci_method="normal")
-        with pytest.raises(InvalidConfigError):
-            stratified_bootstrap(
-                self.cohort, self.design, ok, B=4, replicate_seeds=[1, 2]
-            )
         with pytest.raises(InputError):
             stratified_bootstrap(
                 self.cohort, self.design.take(np.arange(10)), ok, B=4

@@ -14,8 +14,6 @@ from .calibration import (
     CalibratedCohort,
     CalibrationModel,
     ErrorMode,
-    ErrorModelSpec,
-    OmegaRegressors,
     RsrcFit,
     Weighting,
     apply_rc,

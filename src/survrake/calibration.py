@@ -36,13 +36,9 @@ from .errors import (
 
 __all__ = [
     "ErrorMode",
-    "OmegaRegressors",
     "Weighting",
-    "ErrorModelSpec",
     "CalibrationModel",
     "CalibratedCohort",
-    "fit_x_calibration",
-    "fit_omega_calibration",
     "build_calibration",
     "apply_rc",
     "rc_fit",
@@ -58,18 +54,26 @@ U_HAT_FLOOR_FACTOR = 1e-8
 
 
 class ErrorMode(str, Enum):
-    """Which observed quantities carry measurement error."""
+    """Which observed quantities carry measurement error.
+
+    The mode also fixes what the calibration regressions use. When only the
+    outcome is mismeasured the covariates are observed for everyone, so the
+    time-error model regresses on the true covariates; when covariates are
+    mismeasured too, only the error-prone versions are available
+    cohort-wide and both models regress on those.
+    """
 
     COVARIATE_ONLY = "covariate-only"
     OUTCOME_ONLY = "outcome-only"
     BOTH = "both"
 
+    @property
+    def corrects_x(self) -> bool:
+        return self is not ErrorMode.OUTCOME_ONLY
 
-class OmegaRegressors(str, Enum):
-    """Covariate block used when regressing the time error."""
-
-    TRUE_X = "true-x"
-    ERROR_PRONE_X = "error-prone-x"
+    @property
+    def corrects_u(self) -> bool:
+        return self is not ErrorMode.COVARIATE_ONLY
 
 
 class Weighting(str, Enum):
@@ -77,60 +81,6 @@ class Weighting(str, Enum):
 
     UNWEIGHTED = "unweighted"
     IPW = "ipw"
-
-
-@dataclass(frozen=True)
-class ErrorModelSpec:
-    """Declares the error structure an analysis corrects for.
-
-    When only the outcome is mismeasured the covariates are observed for
-    everyone, so the time-error model may regress on the true covariates;
-    when covariates are mismeasured too, only the error-prone versions are
-    available cohort-wide and the time-error model must use those.
-    ``regress_omega_on`` defaults accordingly and conflicting combinations
-    are rejected.
-    """
-
-    mode: ErrorMode
-    regress_omega_on: OmegaRegressors | None = None
-
-    def __post_init__(self):
-        mode = ErrorMode(self.mode)
-        object.__setattr__(self, "mode", mode)
-        chosen = self.regress_omega_on
-        if chosen is not None:
-            chosen = OmegaRegressors(chosen)
-        if mode is ErrorMode.COVARIATE_ONLY:
-            if chosen is not None:
-                raise InvalidConfigError(
-                    "no time-error model exists in covariate-only mode"
-                )
-        elif mode is ErrorMode.OUTCOME_ONLY:
-            if chosen is None:
-                chosen = OmegaRegressors.TRUE_X
-            elif chosen is not OmegaRegressors.TRUE_X:
-                raise InvalidConfigError(
-                    "outcome-only mode observes the true covariates everywhere; "
-                    "the time-error model must regress on them"
-                )
-        else:
-            if chosen is None:
-                chosen = OmegaRegressors.ERROR_PRONE_X
-            elif chosen is not OmegaRegressors.ERROR_PRONE_X:
-                raise InvalidConfigError(
-                    "with covariate error the true covariates are unknown outside "
-                    "the validation subset; the time-error model must use the "
-                    "error-prone ones"
-                )
-        object.__setattr__(self, "regress_omega_on", chosen)
-
-    @property
-    def corrects_x(self) -> bool:
-        return self.mode is not ErrorMode.OUTCOME_ONLY
-
-    @property
-    def corrects_u(self) -> bool:
-        return self.mode is not ErrorMode.COVARIATE_ONLY
 
 
 def _validation_weights(cohort: CohortData, weighting: Weighting, subset: np.ndarray):
@@ -152,70 +102,20 @@ def _least_squares(design: np.ndarray, response: np.ndarray, weights: np.ndarray
     return coef
 
 
-def _subset_or_selected(cohort: CohortData, subset):
-    if subset is None:
-        return cohort.selected
-    subset = np.asarray(subset, dtype=bool)
-    return cohort.selected & subset
-
-
-def fit_x_calibration(
-    cohort: CohortData,
-    weighting: Weighting = Weighting.UNWEIGHTED,
-    subset=None,
-) -> np.ndarray:
-    """Least-squares coefficients predicting X from (X*, Z) on validated rows.
-
-    Returns an (1+p+q) x p matrix: intercept row, then the X* block, then
-    the Z block, one column per true covariate. ``subset`` restricts the
-    validated rows used, for risk-set recalibration.
-    """
-    rows = _subset_or_selected(cohort, subset)
-    if not rows.any():
-        raise EmptyValidationError("no validated records to calibrate on")
-    design = np.column_stack([np.ones(int(rows.sum())), cohort.x_star[rows], cohort.z[rows]])
-    response = cohort.x[rows]
-    return _least_squares(design, response, _validation_weights(cohort, weighting, rows))
-
-
-def fit_omega_calibration(
-    cohort: CohortData,
-    spec: ErrorModelSpec,
-    weighting: Weighting = Weighting.UNWEIGHTED,
-    subset=None,
-) -> np.ndarray:
-    """Least-squares coefficients predicting omega = U* - U on validated rows.
-
-    The covariate block is the true X or the error-prone X* according to
-    ``spec.regress_omega_on``. Returns a length 1+p+q vector.
-    """
-    if not spec.corrects_u:
-        raise InvalidConfigError("the declared error mode has no time error to model")
-    rows = _subset_or_selected(cohort, subset)
-    if not rows.any():
-        raise EmptyValidationError("no validated records to calibrate on")
-    if spec.regress_omega_on is OmegaRegressors.TRUE_X:
-        x_block = cohort.x[rows]
-    else:
-        x_block = cohort.x_star[rows]
-    design = np.column_stack([np.ones(int(rows.sum())), x_block, cohort.z[rows]])
-    omega = cohort.time_star[rows] - cohort.time[rows]
-    return _least_squares(design, omega, _validation_weights(cohort, weighting, rows))
-
-
 @dataclass(frozen=True)
 class CalibrationModel:
     """Fitted nuisance models mapping error-prone data to corrections.
 
-    ``zeta_x`` is None in outcome-only mode (covariates pass through);
-    ``zeta_omega`` is None in covariate-only mode (times pass through).
+    ``zeta_x`` is the (1+p+q) x p matrix predicting X from (1, X*, Z): an
+    intercept row, then the X* block, then the Z block. ``zeta_omega`` is
+    the length 1+p+q vector predicting omega = U* - U from the same
+    columns. ``zeta_x`` is None in outcome-only mode (covariates pass
+    through); ``zeta_omega`` is None in covariate-only mode (times pass
+    through).
     """
 
-    spec: ErrorModelSpec
     zeta_x: np.ndarray | None
     zeta_omega: np.ndarray | None
-    weighting: Weighting
-    n_validation: int
 
     def _check(self, cohort: CohortData):
         width = 1 + cohort.p + cohort.q
@@ -228,50 +128,48 @@ class CalibrationModel:
                 f"zeta_omega has shape {self.zeta_omega.shape}, cohort needs ({width},)"
             )
 
-    def predict_x(self, cohort: CohortData, rows=None) -> np.ndarray:
-        """Imputed covariates for the given rows (default: all subjects)."""
-        rows = slice(None) if rows is None else rows
-        if self.zeta_x is None:
-            return cohort.x_star[rows].copy()
-        design = np.column_stack(
-            [np.ones(cohort.x_star[rows].shape[0]), cohort.x_star[rows], cohort.z[rows]]
-        )
-        return design @ self.zeta_x
-
-    def predict_omega(self, cohort: CohortData, rows=None) -> np.ndarray:
-        """Predicted time error for the given rows (default: all subjects).
+    def predict(self, cohort: CohortData) -> tuple[np.ndarray, np.ndarray]:
+        """Imputed covariates and predicted time error for every subject.
 
         Prediction always feeds the phase-one covariates: in outcome-only
-        mode they are the true covariates, which is exactly what the model
-        was trained on.
+        mode they are the true covariates, which is exactly what the
+        time-error model was trained on.
         """
-        rows = slice(None) if rows is None else rows
-        n_rows = cohort.time_star[rows].shape[0]
-        if self.zeta_omega is None:
-            return np.zeros(n_rows)
-        design = np.column_stack([np.ones(n_rows), cohort.x_star[rows], cohort.z[rows]])
-        return design @ self.zeta_omega
+        design = np.column_stack([np.ones(cohort.n), cohort.x_star, cohort.z])
+        x_hat = cohort.x_star.copy() if self.zeta_x is None else design @ self.zeta_x
+        omega = np.zeros(cohort.n) if self.zeta_omega is None else design @ self.zeta_omega
+        return x_hat, omega
 
 
 def build_calibration(
     cohort: CohortData,
-    spec: ErrorModelSpec,
+    mode: ErrorMode,
     weighting: Weighting = Weighting.UNWEIGHTED,
     subset=None,
 ) -> CalibrationModel:
-    """Fit whichever nuisance models the error mode calls for."""
-    zeta_x = fit_x_calibration(cohort, weighting, subset) if spec.corrects_x else None
-    zeta_omega = (
-        fit_omega_calibration(cohort, spec, weighting, subset) if spec.corrects_u else None
-    )
-    rows = _subset_or_selected(cohort, subset)
-    return CalibrationModel(
-        spec=spec,
-        zeta_x=zeta_x,
-        zeta_omega=zeta_omega,
-        weighting=Weighting(weighting),
-        n_validation=int(rows.sum()),
-    )
+    """Fit whichever nuisance models the error mode calls for.
+
+    Both models are least-squares fits on the validated rows (restricted to
+    ``subset`` if given, for risk-set recalibration) against one design:
+    an intercept, the covariate block (X in outcome-only mode, X* otherwise)
+    and Z.
+    """
+    mode = ErrorMode(mode)
+    rows = cohort.selected
+    if subset is not None:
+        rows = rows & np.asarray(subset, dtype=bool)
+    if not rows.any():
+        raise EmptyValidationError("no validated records to calibrate on")
+    weights = _validation_weights(cohort, weighting, rows)
+    x_block = cohort.x if mode is ErrorMode.OUTCOME_ONLY else cohort.x_star
+    design = np.column_stack([np.ones(int(rows.sum())), x_block[rows], cohort.z[rows]])
+    zeta_x = zeta_omega = None
+    if mode.corrects_x:
+        zeta_x = _least_squares(design, cohort.x[rows], weights)
+    if mode.corrects_u:
+        omega = cohort.time_star[rows] - cohort.time[rows]
+        zeta_omega = _least_squares(design, omega, weights)
+    return CalibrationModel(zeta_x=zeta_x, zeta_omega=zeta_omega)
 
 
 @dataclass(frozen=True)
@@ -318,8 +216,8 @@ def apply_rc(cohort: CohortData, model: CalibrationModel) -> CalibratedCohort:
     unaffected by the repair.
     """
     model._check(cohort)
-    x_hat = model.predict_x(cohort)
-    u_hat = cohort.time_star - model.predict_omega(cohort)
+    x_hat, omega = model.predict(cohort)
+    u_hat = cohort.time_star - omega
     if model.zeta_omega is not None:
         floor = U_HAT_FLOOR_FACTOR * float(cohort.time_star.max(initial=0.0))
         u_hat, n_clamped = _squeeze_below_floor(u_hat, floor)
@@ -337,21 +235,26 @@ def _analysis_covariates(x_hat: np.ndarray, z: np.ndarray) -> np.ndarray:
     return np.column_stack([x_hat, z]) if z.shape[1] else x_hat
 
 
-def rc_fit(
-    cohort: CohortData,
-    spec: ErrorModelSpec,
-    weighting: Weighting = Weighting.UNWEIGHTED,
-    options: CoxOptions | None = None,
-) -> CoxFit:
-    """Ordinary regression calibration: impute once, fit once."""
-    model = build_calibration(cohort, spec, weighting)
-    calibrated = apply_rc(cohort, model)
-    data = SurvivalData(
+def _calibrated_data(
+    cohort: CohortData, mode: ErrorMode, weighting: Weighting
+) -> SurvivalData:
+    """Calibrate on the validated rows and impute every phase-one subject."""
+    calibrated = apply_rc(cohort, build_calibration(cohort, mode, weighting))
+    return SurvivalData(
         calibrated.u_hat,
         calibrated.event,
         _analysis_covariates(calibrated.x_hat, cohort.z),
     )
-    return fit_cox(data, options)
+
+
+def rc_fit(
+    cohort: CohortData,
+    mode: ErrorMode,
+    weighting: Weighting = Weighting.UNWEIGHTED,
+    options: CoxOptions | None = None,
+) -> CoxFit:
+    """Ordinary regression calibration: impute once, fit once."""
+    return fit_cox(_calibrated_data(cohort, mode, weighting), options)
 
 
 @dataclass(frozen=True)
@@ -376,10 +279,9 @@ DEFAULT_RSRC_GRID = tuple(np.round(np.arange(0.1, 0.95, 0.1), 10))
 
 def rsrc_fit(
     cohort: CohortData,
-    spec: ErrorModelSpec,
+    mode: ErrorMode,
     grid=DEFAULT_RSRC_GRID,
     weighting: Weighting = Weighting.UNWEIGHTED,
-    recalibrate_omega_per_window: bool = True,
     options: CoxOptions | None = None,
 ) -> RsrcFit:
     """Two-stage regression calibration with risk-set-local nuisance models.
@@ -395,9 +297,9 @@ def rsrc_fit(
     stay anchored. That composition refresh is what moves the risk sets
     toward the ones the true times would define. A window whose validated
     risk set holds fewer than p+q+2 members reuses the previous window's
-    model. With ``recalibrate_omega_per_window`` false, or a grid of {0}
-    (or empty), every window reuses the stage-one model and the fit reduces
-    to the ordinary calibration fit exactly.
+    model. When every window falls back, or the grid is {0} (or empty),
+    every window reuses the stage-one model and the fit reduces to the
+    ordinary calibration fit exactly.
     """
     grid = tuple(float(g) for g in grid)
     if any(not 0.0 <= g < 1.0 for g in grid):
@@ -405,7 +307,7 @@ def rsrc_fit(
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise InvalidConfigError("recalibration grid quantiles must increase strictly")
 
-    base_model = build_calibration(cohort, spec, weighting)
+    base_model = build_calibration(cohort, mode, weighting)
     stage_one = apply_rc(cohort, base_model)
     u0 = stage_one.u_hat
     event = stage_one.event
@@ -433,14 +335,12 @@ def rsrc_fit(
             u_hat_k = u0
         else:
             at_risk = u0 >= cuts[k]
-            if recalibrate_omega_per_window:
-                n_val = int((cohort.selected & at_risk).sum())
-                if n_val < min_members:
-                    fallbacks += 1  # keep the previous window's model
-                else:
-                    window_model = build_calibration(cohort, spec, weighting, subset=at_risk)
-            x_hat_k = window_model.predict_x(cohort)
-            u_hat_k = cohort.time_star - window_model.predict_omega(cohort)
+            if int((cohort.selected & at_risk).sum()) < min_members:
+                fallbacks += 1  # keep the previous window's model
+            else:
+                window_model = build_calibration(cohort, mode, weighting, subset=at_risk)
+            x_hat_k, omega_k = window_model.predict(cohort)
+            u_hat_k = cohort.time_star - omega_k
             members = (u_hat_k > cuts[k]) | event_here
         stop = np.where(event_here, u0, np.minimum(u_hat_k, upper))
         blocks.append(

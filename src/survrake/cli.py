@@ -19,7 +19,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from .calibration import ErrorModelSpec, Weighting
+from .calibration import Weighting
 from .design import stratified_bootstrap
 from .errors import EstimationError, InputError, InvalidConfigError
 from .estimators import ESTIMATORS, runner
@@ -58,10 +58,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--error-mode", default="both",
         choices=("covariate-only", "outcome-only", "both"),
         help="which observed quantities carry error (default: both)",
-    )
-    fit.add_argument(
-        "--omega-regressors", choices=("true-x", "error-prone-x"), default=None,
-        help="covariate block for the time-error regression (default: per mode)",
     )
     fit.add_argument(
         "--weighting", choices=("unweighted", "ipw"), default="unweighted",
@@ -153,10 +149,9 @@ def _cmd_fit(args) -> int:
             f"{cohort.n_selected} of {cohort.n} are validated; "
             "--estimator complete fits the validated rows"
         )
-    design = dataset.to_design() if estimator.needs_design or args.bootstrap else None
-    spec = ErrorModelSpec(args.error_mode, regress_omega_on=args.omega_regressors)
+    design = dataset.to_design() if estimator.needs_design else None
     weighting = Weighting(args.weighting)
-    fit_fn = runner(args.estimator, spec, weighting)
+    fit_fn = runner(args.estimator, args.error_mode, weighting)
     beta = np.asarray(fit_fn(cohort, design).beta, dtype=float)
     names = _coefficient_names(args.estimator, dataset)
     if len(names) != beta.shape[0]:
@@ -187,9 +182,8 @@ def _cmd_fit(args) -> int:
         settings=(
             ("bootstrap", str(args.bootstrap)),
             ("ci_level", repr(float(args.ci_level))),
-            ("error_mode", spec.mode.value),
+            ("error_mode", args.error_mode),
             ("estimator", args.estimator),
-            ("omega_regressors", getattr(spec.regress_omega_on, "value", "none")),
             ("weighting", weighting.value),
         ),
     )

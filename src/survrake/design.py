@@ -211,7 +211,7 @@ def _extract_beta(result) -> np.ndarray:
 
 def stratified_bootstrap(
     cohort: CohortData,
-    design: TwoPhaseDesign,
+    design: TwoPhaseDesign | None,
     estimator,
     B: int,
     seed: int = 0,
@@ -231,15 +231,18 @@ def stratified_bootstrap(
 
     ``estimator`` is called as ``estimator(cohort, design)`` and may return
     a coefficient vector, a fit with a ``beta`` attribute, or a tuple whose
-    first element is such a fit.
+    first element is such a fit. Estimators that need no design take
+    ``design=None``: the strata then come from ``cohort.selected`` and every
+    replicate passes None on.
     """
     if B < 2:
         raise InvalidConfigError("the bootstrap needs at least two replicates")
-    if design.n != cohort.n:
+    if design is not None and design.n != cohort.n:
         raise InputError(f"design covers {design.n} subjects, cohort has {cohort.n}")
 
-    validated = np.flatnonzero(design.selected)
-    unvalidated = np.flatnonzero(~design.selected)
+    selected = cohort.selected if design is None else design.selected
+    validated = np.flatnonzero(selected)
+    unvalidated = np.flatnonzero(~selected)
     estimates = []
     n_failed = 0
     for b in range(B):
@@ -251,7 +254,10 @@ def stratified_bootstrap(
         ]
         indices = np.concatenate(rows) if rows else np.empty(0, dtype=int)
         try:
-            estimates.append(_extract_beta(estimator(cohort.take(indices), design.take(indices))))
+            replicate = estimator(
+                cohort.take(indices), None if design is None else design.take(indices)
+            )
+            estimates.append(_extract_beta(replicate))
         except EstimationError:
             n_failed += 1
     if not estimates:

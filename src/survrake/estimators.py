@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calibration import DEFAULT_RSRC_GRID, ErrorModelSpec, Weighting, rc_fit, rsrc_fit
+from .calibration import DEFAULT_RSRC_GRID, ErrorMode, Weighting, rc_fit, rsrc_fit
 from .cox import SurvivalData, fit_cox
 from .raking import grn_estimate, grrc_estimate, ht_estimate
 
@@ -53,7 +53,7 @@ ESTIMATOR_NAMES = tuple(ESTIMATORS)
 
 def runner(
     name: str,
-    spec: ErrorModelSpec,
+    mode: ErrorMode,
     weighting: Weighting = Weighting.UNWEIGHTED,
     grid=DEFAULT_RSRC_GRID,
 ):
@@ -79,9 +79,9 @@ def runner(
             )
         ),
         "ht": lambda c, d: ht_estimate(c, d),
-        "rc": lambda c, d: rc_fit(c, spec, weighting),
-        "rsrc": lambda c, d: rsrc_fit(c, spec, grid, weighting),
+        "rc": lambda c, d: rc_fit(c, mode, weighting),
+        "rsrc": lambda c, d: rsrc_fit(c, mode, grid, weighting),
         "grn": lambda c, d: grn_estimate(c, d)[0],
-        "grrc": lambda c, d: grrc_estimate(c, d, spec)[0],
+        "grrc": lambda c, d: grrc_estimate(c, d, mode)[0],
     }
     return fits[name]

@@ -11,11 +11,10 @@ inverse-probability estimator leaves on the table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
-from .calibration import ErrorModelSpec, Weighting, apply_rc, build_calibration
+from .calibration import ErrorMode, Weighting, _calibrated_data
 from .cohort import CohortData
 from .cox import CoxFit, CoxOptions, SurvivalData, _solve_pd, fit_cox
 from .design import TwoPhaseDesign
@@ -29,7 +28,6 @@ from .errors import (
 )
 
 __all__ = [
-    "AuxiliarySource",
     "AuxiliaryMatrix",
     "RakingSolution",
     "solve_raking",
@@ -37,14 +35,6 @@ __all__ = [
     "grn_estimate",
     "grrc_estimate",
 ]
-
-
-class AuxiliarySource(str, Enum):
-    """Where an auxiliary matrix came from."""
-
-    NAIVE_INFLUENCE = "naive-influence"
-    RC_INFLUENCE = "rc-influence"
-    CUSTOM = "custom"
 
 
 @dataclass(frozen=True)
@@ -56,7 +46,6 @@ class AuxiliaryMatrix:
     """
 
     values: np.ndarray
-    source: AuxiliarySource = AuxiliarySource.CUSTOM
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -72,7 +61,6 @@ class AuxiliaryMatrix:
                 f"auxiliary columns {np.flatnonzero(dead).tolist()} are identically zero"
             )
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "source", AuxiliarySource(self.source))
 
     @property
     def n(self) -> int:
@@ -225,12 +213,11 @@ def _raked_fit(
     cohort: CohortData,
     design: TwoPhaseDesign,
     influence: np.ndarray,
-    source: AuxiliarySource,
     options: CoxOptions | None,
     tol: float,
     max_iter: int,
 ) -> tuple[CoxFit, RakingSolution]:
-    solution = solve_raking(design, AuxiliaryMatrix(influence, source), tol, max_iter)
+    solution = solve_raking(design, AuxiliaryMatrix(influence), tol, max_iter)
     if not solution.converged:
         raise ConvergenceError(
             f"raking stopped after {solution.iterations} iterations with "
@@ -263,21 +250,13 @@ def grn_estimate(
         ),
         CoxOptions(compute_dfbetas=True) if options is None else options.with_dfbetas(),
     )
-    return _raked_fit(
-        synced,
-        design,
-        naive.dfbetas,
-        AuxiliarySource.NAIVE_INFLUENCE,
-        options,
-        tol,
-        max_iter,
-    )
+    return _raked_fit(synced, design, naive.dfbetas, options, tol, max_iter)
 
 
 def grrc_estimate(
     cohort: CohortData,
     design: TwoPhaseDesign,
-    spec: ErrorModelSpec,
+    mode: ErrorMode,
     options: CoxOptions | None = None,
     tol: float = 1e-8,
     max_iter: int = 50,
@@ -292,20 +271,8 @@ def grrc_estimate(
     itself is unweighted over all phase-one subjects.
     """
     synced = _synced(cohort, design)
-    model = build_calibration(synced, spec, Weighting.IPW)
-    calibrated = apply_rc(synced, model)
-    x_hat = calibrated.x_hat
-    covariates = np.column_stack([x_hat, synced.z]) if synced.q else x_hat
     corrected = fit_cox(
-        SurvivalData(calibrated.u_hat, calibrated.event, covariates),
+        _calibrated_data(synced, mode, Weighting.IPW),
         CoxOptions(compute_dfbetas=True) if options is None else options.with_dfbetas(),
     )
-    return _raked_fit(
-        synced,
-        design,
-        corrected.dfbetas,
-        AuxiliarySource.RC_INFLUENCE,
-        options,
-        tol,
-        max_iter,
-    )
+    return _raked_fit(synced, design, corrected.dfbetas, options, tol, max_iter)

@@ -27,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .calibration import DEFAULT_RSRC_GRID, ErrorMode, ErrorModelSpec, Weighting
+from .calibration import DEFAULT_RSRC_GRID, ErrorMode, Weighting
 from .cohort import CohortData
 from .design import SamplingPlan, draw_validation, stratified_bootstrap
 from .errors import EstimationError, InvalidConfigError, NotBracketedError
@@ -240,10 +240,6 @@ class ScenarioConfig:
         if self.has_time_error and not self.has_covariate_error:
             return ErrorMode.OUTCOME_ONLY
         return ErrorMode.BOTH
-
-    @property
-    def error_spec(self) -> ErrorModelSpec:
-        return ErrorModelSpec(self.error_mode)
 
     def to_dict(self) -> dict:
         """Plain-data form of the scenario for key-value config files."""
@@ -476,10 +472,9 @@ def _run_replicate(config: ScenarioConfig, rep: int) -> dict:
     plan = replace(config.validation, seed=val_seed)
     design = draw_validation(cohort, plan)
     cohort = cohort.with_design(design.selected, design.pi)
-    spec = config.error_spec
     out = {}
     for est in config.estimators:
-        fit_fn = runner(est, spec, config.weighting, config.rsrc_grid)
+        fit_fn = runner(est, config.error_mode, config.weighting, config.rsrc_grid)
         try:
             fit = fit_fn(cohort, design)
             beta = float(fit.beta[0])

@@ -16,7 +16,7 @@ from numpy.testing import assert_allclose
 
 from reference import ref_raking_lambda
 from survrake.calibration import (
-    ErrorModelSpec,
+    ErrorMode,
     build_calibration,
     rc_fit,
     rsrc_fit,
@@ -302,7 +302,7 @@ class TestC7Properties:
         )
         ht = ht_estimate(cohort, design)
         grn, _ = grn_estimate(cohort, design)
-        grrc, _ = grrc_estimate(cohort, design, ErrorModelSpec("both"))
+        grrc, _ = grrc_estimate(cohort, design, ErrorMode.BOTH)
         assert_allclose(ht.beta, truth.beta, atol=1e-9)
         assert_allclose(grn.beta, truth.beta, atol=1e-9)
         assert_allclose(grrc.beta, truth.beta, atol=1e-9)
@@ -322,9 +322,8 @@ class TestC7Properties:
         truth = fit_cox(
             SurvivalData(u, d, np.column_stack([x, z]))
         )
-        spec = ErrorModelSpec("both")
-        rc = rc_fit(cohort, spec)
-        rsrc = rsrc_fit(cohort, spec)
+        rc = rc_fit(cohort, ErrorMode.BOTH)
+        rsrc = rsrc_fit(cohort, ErrorMode.BOTH)
         naive = fit_cox(
             SurvivalData(
                 cohort.time_star, cohort.delta_star, cohort.phase_one_covariates()
@@ -354,7 +353,7 @@ class TestC7Properties:
         selected = np.zeros(cohort.n, dtype=bool)
         selected[rng.choice(cohort.n, 120, replace=False)] = True
         cohort = cohort.with_design(selected, np.full(cohort.n, 120 / cohort.n))
-        model = build_calibration(cohort, ErrorModelSpec("both"))
+        model = build_calibration(cohort, ErrorMode.BOTH)
         sel = cohort.selected
         design_matrix = np.column_stack(
             [np.ones(sel.sum()), cohort.x_star[sel], cohort.z[sel]]

@@ -8,13 +8,9 @@ from survrake.calibration import (
     U_HAT_FLOOR_FACTOR,
     CalibrationModel,
     ErrorMode,
-    ErrorModelSpec,
-    OmegaRegressors,
     Weighting,
     apply_rc,
     build_calibration,
-    fit_omega_calibration,
-    fit_x_calibration,
     rc_fit,
     rsrc_fit,
 )
@@ -27,9 +23,13 @@ from survrake.errors import (
     RankDeficientDesignError,
 )
 
-OUTCOME_ONLY = ErrorModelSpec(ErrorMode.OUTCOME_ONLY)
-BOTH = ErrorModelSpec(ErrorMode.BOTH)
-COVARIATE_ONLY = ErrorModelSpec(ErrorMode.COVARIATE_ONLY)
+OUTCOME_ONLY = ErrorMode.OUTCOME_ONLY
+BOTH = ErrorMode.BOTH
+COVARIATE_ONLY = ErrorMode.COVARIATE_ONLY
+# Explicit ids keep the parametrized test names independent of the mode strings.
+MODES = pytest.mark.parametrize(
+    "mode", [OUTCOME_ONLY, BOTH, COVARIATE_ONLY], ids=["spec0", "spec1", "spec2"]
+)
 
 
 def make_cohort(seed=0, n=300, m=80, s2_eps=0.3, s2_nu=0.4, p=1):
@@ -85,34 +85,25 @@ def moment_solve(design, response, weights):
     return np.linalg.solve(m, c)
 
 
-class TestErrorModelSpec:
-    def test_mode_defaults(self):
-        assert OUTCOME_ONLY.regress_omega_on is OmegaRegressors.TRUE_X
-        assert BOTH.regress_omega_on is OmegaRegressors.ERROR_PRONE_X
-        assert COVARIATE_ONLY.regress_omega_on is None
-
+class TestErrorMode:
     def test_correction_flags(self):
         assert not OUTCOME_ONLY.corrects_x and OUTCOME_ONLY.corrects_u
         assert BOTH.corrects_x and BOTH.corrects_u
         assert COVARIATE_ONLY.corrects_x and not COVARIATE_ONLY.corrects_u
 
-    def test_conflicting_regressors_rejected(self):
-        with pytest.raises(InvalidConfigError):
-            ErrorModelSpec(ErrorMode.OUTCOME_ONLY, OmegaRegressors.ERROR_PRONE_X)
-        with pytest.raises(InvalidConfigError):
-            ErrorModelSpec(ErrorMode.BOTH, OmegaRegressors.TRUE_X)
-        with pytest.raises(InvalidConfigError):
-            ErrorModelSpec(ErrorMode.COVARIATE_ONLY, OmegaRegressors.TRUE_X)
-
     def test_string_values_accepted(self):
-        spec = ErrorModelSpec("both", "error-prone-x")
-        assert spec.mode is ErrorMode.BOTH
+        cohort = make_cohort(seed=14)
+        for mode in ErrorMode:
+            model = build_calibration(cohort, mode.value)
+            expected = build_calibration(cohort, mode)
+            assert_array_equal(model.zeta_x, expected.zeta_x)
+            assert_array_equal(model.zeta_omega, expected.zeta_omega)
 
 
 class TestCalibrationOracles:
     def test_x_calibration_matches_moment_algebra(self):
         cohort = make_cohort(seed=1, p=2)
-        zeta = fit_x_calibration(cohort)
+        zeta = build_calibration(cohort, BOTH).zeta_x
         rows = cohort.selected
         design = np.column_stack(
             [np.ones(rows.sum()), cohort.x_star[rows], cohort.z[rows]]
@@ -122,7 +113,7 @@ class TestCalibrationOracles:
 
     def test_omega_calibration_matches_moment_algebra(self):
         cohort = make_cohort(seed=2)
-        zeta = fit_omega_calibration(cohort, BOTH)
+        zeta = build_calibration(cohort, BOTH).zeta_omega
         rows = cohort.selected
         design = np.column_stack(
             [np.ones(rows.sum()), cohort.x_star[rows], cohort.z[rows]]
@@ -148,14 +139,13 @@ class TestCalibrationOracles:
             delta=np.ones(n),
             x=x,
         )
-        assert_allclose(fit_x_calibration(cohort)[:, 0], [0.3, 0.8, 0.1], atol=1e-8)
-        assert_allclose(
-            fit_omega_calibration(cohort, BOTH), [1.5, -0.4, 0.25], atol=1e-8
-        )
+        model = build_calibration(cohort, BOTH)
+        assert_allclose(model.zeta_x[:, 0], [0.3, 0.8, 0.1], atol=1e-8)
+        assert_allclose(model.zeta_omega, [1.5, -0.4, 0.25], atol=1e-8)
 
     def test_outcome_only_regresses_on_true_covariates(self):
         cohort = make_cohort(seed=4)
-        zeta = fit_omega_calibration(cohort, OUTCOME_ONLY)
+        zeta = build_calibration(cohort, OUTCOME_ONLY).zeta_omega
         rows = cohort.selected
         design = np.column_stack(
             [np.ones(rows.sum()), cohort.x[rows], cohort.z[rows]]
@@ -165,34 +155,29 @@ class TestCalibrationOracles:
 
     def test_identity_covariates_recovered(self):
         cohort = error_free_cohort()
-        assert_allclose(fit_x_calibration(cohort)[:, 0], [0.0, 1.0, 0.0], atol=1e-8)
+        zeta = build_calibration(cohort, COVARIATE_ONLY).zeta_x
+        assert_allclose(zeta[:, 0], [0.0, 1.0, 0.0], atol=1e-8)
 
     def test_zero_omega_gives_zero_model(self):
         cohort = error_free_cohort()
-        zeta = fit_omega_calibration(cohort, OUTCOME_ONLY)
-        assert_allclose(zeta, np.zeros(3), atol=1e-10)
-        calibrated = apply_rc(cohort, build_calibration(cohort, OUTCOME_ONLY))
+        model = build_calibration(cohort, OUTCOME_ONLY)
+        assert_allclose(model.zeta_omega, np.zeros(3), atol=1e-10)
+        calibrated = apply_rc(cohort, model)
         assert_allclose(calibrated.u_hat, cohort.time_star, atol=1e-10)
 
     def test_ipw_with_constant_pi_equals_unweighted(self):
         cohort = make_cohort(seed=6)
-        assert_allclose(
-            fit_x_calibration(cohort, Weighting.IPW),
-            fit_x_calibration(cohort),
-            atol=1e-10,
-        )
-        assert_allclose(
-            fit_omega_calibration(cohort, BOTH, Weighting.IPW),
-            fit_omega_calibration(cohort, BOTH),
-            atol=1e-10,
-        )
+        ipw = build_calibration(cohort, BOTH, Weighting.IPW)
+        unweighted = build_calibration(cohort, BOTH)
+        assert_allclose(ipw.zeta_x, unweighted.zeta_x, atol=1e-10)
+        assert_allclose(ipw.zeta_omega, unweighted.zeta_omega, atol=1e-10)
 
     def test_ipw_with_varying_pi_matches_weighted_oracle(self):
         cohort = make_cohort(seed=7)
         rng = np.random.default_rng(8)
         pi = rng.uniform(0.05, 1.0, cohort.n)
         cohort = cohort.with_design(cohort.selected, pi)
-        zeta = fit_omega_calibration(cohort, BOTH, Weighting.IPW)
+        zeta = build_calibration(cohort, BOTH, Weighting.IPW).zeta_omega
         rows = cohort.selected
         design = np.column_stack(
             [np.ones(rows.sum()), cohort.x_star[rows], cohort.z[rows]]
@@ -204,11 +189,11 @@ class TestCalibrationOracles:
         cohort = make_cohort(seed=9)
         cohort = cohort.with_design(cohort.selected, None)
         with pytest.raises(InvalidConfigError):
-            fit_x_calibration(cohort, Weighting.IPW)
+            build_calibration(cohort, BOTH, Weighting.IPW)
 
     def test_residuals_orthogonal_to_design(self):
         cohort = make_cohort(seed=10)
-        zeta = fit_omega_calibration(cohort, BOTH)
+        zeta = build_calibration(cohort, BOTH).zeta_omega
         rows = cohort.selected
         design = np.column_stack(
             [np.ones(rows.sum()), cohort.x_star[rows], cohort.z[rows]]
@@ -232,24 +217,23 @@ class TestCalibrationOracles:
             x=x_star + rng.normal(0.0, 0.1, n),
         )
         with pytest.raises(RankDeficientDesignError):
-            fit_x_calibration(cohort)
+            build_calibration(cohort, COVARIATE_ONLY)
 
     def test_empty_validation_rejected(self):
         cohort = make_cohort(seed=12)
         unvalidated = cohort.with_design(np.zeros(cohort.n, dtype=bool))
         with pytest.raises(EmptyValidationError):
-            fit_x_calibration(unvalidated)
+            build_calibration(unvalidated, COVARIATE_ONLY)
         with pytest.raises(EmptyValidationError):
-            fit_omega_calibration(unvalidated, BOTH)
+            build_calibration(unvalidated, OUTCOME_ONLY)
         disjoint = np.zeros(cohort.n, dtype=bool)
         disjoint[~cohort.selected] = True
         with pytest.raises(EmptyValidationError):
-            fit_x_calibration(cohort, subset=disjoint)
+            build_calibration(cohort, BOTH, subset=disjoint)
 
     def test_covariate_only_has_no_omega_model(self):
         cohort = make_cohort(seed=13)
-        with pytest.raises(InvalidConfigError):
-            fit_omega_calibration(cohort, COVARIATE_ONLY)
+        assert build_calibration(cohort, COVARIATE_ONLY).zeta_omega is None
 
 
 class TestApplyRc:
@@ -274,8 +258,9 @@ class TestApplyRc:
         cohort = make_cohort(seed=23)
         model = build_calibration(cohort, BOTH)
         design = np.column_stack([np.ones(cohort.n), cohort.x_star, cohort.z])
-        assert_allclose(model.predict_omega(cohort), design @ model.zeta_omega, atol=1e-12)
-        assert_allclose(model.predict_x(cohort), design @ model.zeta_x, atol=1e-12)
+        x_hat, omega = model.predict(cohort)
+        assert_allclose(omega, design @ model.zeta_omega, atol=1e-12)
+        assert_allclose(x_hat, design @ model.zeta_x, atol=1e-12)
 
     def test_sub_floor_times_squeezed_in_order(self):
         rng = np.random.default_rng(24)
@@ -304,7 +289,7 @@ class TestApplyRc:
         model = build_calibration(cohort, OUTCOME_ONLY)
         assert_allclose(model.zeta_omega, [5.0, 0.0, 0.0], atol=1e-8)
         calibrated = apply_rc(cohort, model)
-        raw = cohort.time_star - model.predict_omega(cohort)
+        raw = cohort.time_star - model.predict(cohort)[1]
         floor = U_HAT_FLOOR_FACTOR * cohort.time_star.max()
         below = raw < floor
         assert calibrated.n_clamped == below.sum() > 0
@@ -335,8 +320,8 @@ class TestRcFit:
         )
         assert_array_equal(fit.beta, expected.beta)
 
-    @pytest.mark.parametrize("spec", [OUTCOME_ONLY, BOTH, COVARIATE_ONLY])
-    def test_error_free_data_reproduces_true_fit(self, spec):
+    @MODES
+    def test_error_free_data_reproduces_true_fit(self, mode):
         cohort = error_free_cohort()
         truth = fit_cox(
             SurvivalData(
@@ -345,7 +330,7 @@ class TestRcFit:
                 np.column_stack([cohort.x, cohort.z]),
             )
         )
-        assert_allclose(rc_fit(cohort, spec).beta, truth.beta, atol=1e-8)
+        assert_allclose(rc_fit(cohort, mode).beta, truth.beta, atol=1e-8)
 
 
 class TestRsrcFit:
@@ -356,14 +341,16 @@ class TestRsrcFit:
         assert_allclose(rsrc_fit(cohort, BOTH, grid=()).beta, rc.beta, atol=1e-12)
 
     def test_disabled_recalibration_reproduces_rc(self):
-        cohort = make_cohort(seed=41)
+        # p + q + 1 = 3 validated rows fit the stage-one model exactly but
+        # are too few to refit any window, so every window falls back.
+        cohort = make_cohort(seed=41, m=3)
         rc = rc_fit(cohort, BOTH)
-        fit = rsrc_fit(cohort, BOTH, recalibrate_omega_per_window=False)
+        fit = rsrc_fit(cohort, BOTH)
+        assert fit.window_fallbacks == len(fit.cuts) - 1 > 0
         assert_allclose(fit.beta, rc.beta, atol=1e-10)
-        assert fit.window_fallbacks == 0
 
-    @pytest.mark.parametrize("spec", [OUTCOME_ONLY, BOTH, COVARIATE_ONLY])
-    def test_error_free_data_reproduces_true_fit(self, spec):
+    @MODES
+    def test_error_free_data_reproduces_true_fit(self, mode):
         cohort = error_free_cohort()
         truth = fit_cox(
             SurvivalData(
@@ -372,7 +359,7 @@ class TestRsrcFit:
                 np.column_stack([cohort.x, cohort.z]),
             )
         )
-        assert_allclose(rsrc_fit(cohort, spec).beta, truth.beta, atol=1e-8)
+        assert_allclose(rsrc_fit(cohort, mode).beta, truth.beta, atol=1e-8)
 
     def test_window_diagnostics(self):
         cohort = make_cohort(seed=42)

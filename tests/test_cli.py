@@ -12,7 +12,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import survrake
-from survrake.calibration import ErrorModelSpec, rc_fit
+from survrake.calibration import rc_fit
 from survrake.cli import main
 from survrake.cox import SurvivalData, fit_cox
 from survrake.io import example_dataset_path, load_dataset, load_scenario
@@ -130,7 +130,7 @@ class TestFitCommand:
             "fit", EXAMPLE, "--estimator", "rc", "--out", str(tmp_path),
         ]) == 0
         ds = load_dataset(EXAMPLE)
-        fit = rc_fit(ds.to_cohort(), ErrorModelSpec("both"))
+        fit = rc_fit(ds.to_cohort(), "both")
         table = read_estimates(tmp_path / "fit_rc.csv")
         assert table["x"][0] == float(fit.beta[0])
 
@@ -226,12 +226,25 @@ class TestFitCommand:
                      "--out", str(tmp_path)]) == 3
         assert "estimation error" in capsys.readouterr().err
 
-    def test_conflicting_error_model_exits_2(self, tmp_path, capsys):
-        assert main(["fit", EXAMPLE, "--estimator", "rc",
-                     "--error-mode", "covariate-only",
-                     "--omega-regressors", "true-x",
-                     "--out", str(tmp_path)]) == 2
+    def test_naive_bootstrap_on_phase_one_only_data(self, tmp_path, capsys):
+        # naive needs no validation design, so data without any validated
+        # record must bootstrap as well as it fits.
+        lines = open(EXAMPLE, encoding="utf-8").read().splitlines()
+        header = lines[0].split(",")
+        keep = [header.index(name) for name in
+                ("id", "time_star", "delta_star", "x_star", "z", "randomized")]
+        rows = [",".join(header[i] for i in keep)]
+        for line in lines[1:]:
+            cells = line.split(",")
+            cells[header.index("randomized")] = "0"
+            rows.append(",".join(cells[i] for i in keep))
+        path = tmp_path / "phase_one.csv"
+        path.write_text("\n".join(rows) + "\n")
+        assert main(["fit", str(path), "--estimator", "naive", "--bootstrap", "5",
+                     "--out", str(tmp_path)]) == 0
         capsys.readouterr()
+        se = read_estimates(tmp_path / "fit_naive.csv")["x_star"][2]
+        assert se is not None and math.isfinite(se) and se > 0
 
     def test_unknown_estimator_is_a_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as info:

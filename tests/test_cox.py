@@ -191,7 +191,7 @@ def rsrc_window_blocks():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(calibration, "fit_cox_blocks", capture)
-        fit = rsrc_fit(cohort, config.error_spec, config.rsrc_grid, config.weighting)
+        fit = rsrc_fit(cohort, config.error_mode, config.rsrc_grid, config.weighting)
     return captured, fit.beta
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from survrake.calibration import ErrorMode, ErrorModelSpec, rc_fit
+from survrake.calibration import ErrorMode, rc_fit
 from survrake.cohort import CohortData
 from survrake.design import (
     BootstrapResult,
@@ -187,6 +187,21 @@ class TestStratifiedBootstrap:
         assert recorder.n_total == [self.cohort.n] * 5
         assert all(recorder.leading_selected)
 
+    def test_without_design_strata_come_from_the_cohort(self):
+        cohort = self.cohort.with_design(self.design.selected, self.design.pi)
+        seen = []
+
+        def estimator(c, d):
+            seen.append((d, c.n_selected, bool(c.selected[: c.n_selected].all())))
+            return np.array([c.time_star.sum()])
+
+        result = stratified_bootstrap(cohort, None, estimator, B=5, seed=3)
+        assert seen == [(None, self.design.n_selected, True)] * 5
+        with_design = stratified_bootstrap(
+            cohort, self.design, lambda c, d: np.array([c.time_star.sum()]), B=5, seed=3
+        )
+        assert_array_equal(result.estimates, with_design.estimates)
+
     def test_deterministic_given_seed(self):
         estimator = lambda c, d: np.array([c.time_star.sum()])
         a = stratified_bootstrap(self.cohort, self.design, estimator, B=8, seed=4)
@@ -237,10 +252,10 @@ class TestStratifiedBootstrap:
         assert high <= result.estimates[:, 0].max()
 
     def test_estimator_pipeline_reruns_per_replicate(self):
-        spec = ErrorModelSpec(ErrorMode.OUTCOME_ONLY)
-
         def estimator(cohort, design):
-            return rc_fit(cohort.with_design(design.selected, design.pi), spec)
+            return rc_fit(
+                cohort.with_design(design.selected, design.pi), ErrorMode.OUTCOME_ONLY
+            )
 
         result = stratified_bootstrap(
             self.cohort, self.design, estimator, B=20, seed=10

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from reference import ref_fit, ref_raking_lambda
-from survrake.calibration import ErrorMode, ErrorModelSpec
+from survrake.calibration import ErrorMode
 from survrake.cohort import CohortData
 from survrake.cox import SurvivalData, fit_cox
 from survrake.design import SamplingPlan, TwoPhaseDesign, draw_validation
@@ -18,15 +18,14 @@ from survrake.errors import (
 )
 from survrake.raking import (
     AuxiliaryMatrix,
-    AuxiliarySource,
     grn_estimate,
     grrc_estimate,
     ht_estimate,
     solve_raking,
 )
 
-OUTCOME_ONLY = ErrorModelSpec(ErrorMode.OUTCOME_ONLY)
-BOTH = ErrorModelSpec(ErrorMode.BOTH)
+OUTCOME_ONLY = ErrorMode.OUTCOME_ONLY
+BOTH = ErrorMode.BOTH
 
 
 def make_cohort(seed=0, n=400, s2_eps=0.25, s2_nu=0.4):
@@ -79,7 +78,6 @@ class TestAuxiliaryMatrix:
         aux = AuxiliaryMatrix(np.arange(1.0, 5.0))
         assert aux.values.shape == (4, 1)
         assert aux.k == 1
-        assert aux.source is AuxiliarySource.CUSTOM
 
 
 class TestSolveRaking:

@@ -25,7 +25,7 @@ from enum import Enum
 import numpy as np
 
 from .cohort import CohortData
-from .cox import CoxFit, CoxOptions, SurvivalData, fit_cox, fit_cox_blocks
+from .cox import CoxFit, SurvivalData, fit_cox, fit_cox_blocks
 from .errors import (
     DimensionMismatchError,
     EmptyValidationError,
@@ -248,13 +248,10 @@ def _calibrated_data(
 
 
 def rc_fit(
-    cohort: CohortData,
-    mode: ErrorMode,
-    weighting: Weighting = Weighting.UNWEIGHTED,
-    options: CoxOptions | None = None,
+    cohort: CohortData, mode: ErrorMode, weighting: Weighting = Weighting.UNWEIGHTED
 ) -> CoxFit:
     """Ordinary regression calibration: impute once, fit once."""
-    return fit_cox(_calibrated_data(cohort, mode, weighting), options)
+    return fit_cox(_calibrated_data(cohort, mode, weighting))
 
 
 @dataclass(frozen=True)
@@ -282,7 +279,6 @@ def rsrc_fit(
     mode: ErrorMode,
     grid=DEFAULT_RSRC_GRID,
     weighting: Weighting = Weighting.UNWEIGHTED,
-    options: CoxOptions | None = None,
 ) -> RsrcFit:
     """Two-stage regression calibration with risk-set-local nuisance models.
 
@@ -348,11 +344,10 @@ def rsrc_fit(
                 stop[members],
                 event_here[members],
                 _analysis_covariates(x_hat_k[members], cohort.z[members]),
-                subject=np.flatnonzero(members),
             )
         )
 
-    fit = fit_cox_blocks(blocks, options, n_subjects=cohort.n)
+    fit = fit_cox_blocks(blocks)
     return RsrcFit(
         beta=fit.beta,
         loglik=fit.loglik,

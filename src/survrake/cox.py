@@ -3,9 +3,13 @@
 The fitter runs damped Newton-Raphson on the log partial likelihood. Risk-set
 sums are reverse cumulative sums over records sorted by time, so one
 evaluation of the likelihood, score, and information costs O(n p^2) with no
-per-risk-set loop. Subject-level influence (dfbeta) residuals come from the
+per-risk-set loop. Record-level influence (dfbeta) residuals come from the
 same sweep using the exact score decomposition, not a one-step refit
 approximation.
+
+Newton stops when the score is below ``SCORE_TOLERANCE`` per event and the
+last step below ``STEP_TOLERANCE``; a step that lowers the likelihood is
+halved up to ``MAX_STEP_HALVINGS`` times before the fit gives up.
 
 One evaluation lays the moments out as contiguous rows of a (k, n) array:
 r, r x_j and, only when the information is needed, the p(p+1)/2 unique
@@ -20,11 +24,13 @@ vector; the log partial likelihood is then the sum of block contributions.
 Risk-set recalibration needs exactly this: each time window contributes a
 block whose records all enter at the window start, so plain right-censored
 bookkeeping applies within a block and no delayed-entry machinery is needed.
+The influence rows of a block fit are the blocks' record rows, stacked in
+block order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
@@ -48,6 +54,10 @@ __all__ = [
     "dfbeta_residuals",
 ]
 
+SCORE_TOLERANCE = 1e-9
+STEP_TOLERANCE = 1e-8
+MAX_STEP_HALVINGS = 10
+
 
 class SurvivalData:
     """Column-oriented collection of right-censored records.
@@ -58,12 +68,9 @@ class SurvivalData:
         covariates: matrix with one row per record; a 1-d array is treated
             as a single column.
         weights: positive per-record weights. Defaults to all ones.
-        subject: optional integer labels tying records in different blocks
-            to the same subject. Influence residuals are summed over records
-            that share a label.
     """
 
-    def __init__(self, time, event, covariates, weights=None, subject=None):
+    def __init__(self, time, event, covariates, weights=None):
         time = np.ascontiguousarray(time, dtype=float)
         event = np.asarray(event, dtype=bool)
         covariates = np.asarray(covariates, dtype=float)
@@ -89,15 +96,10 @@ class SurvivalData:
             raise InputError("negative follow-up time")
         if (weights <= 0).any():
             raise InputError("weights must be strictly positive")
-        if subject is not None:
-            subject = np.asarray(subject, dtype=np.intp)
-            if subject.shape != (n,):
-                raise InputError(f"expected {n} subject labels, got {subject.shape}")
         self.time = time
         self.event = event
         self.covariates = np.ascontiguousarray(covariates)
         self.weights = weights
-        self.subject = subject
 
     @property
     def n(self) -> int:
@@ -116,23 +118,14 @@ class SurvivalData:
 class CoxOptions:
     """Controls for the Newton-Raphson fit.
 
-    Convergence requires both a small score, relative to the event count,
-    and a small last step. ``max_iterations=0`` returns the initial value
-    unconverged with the likelihood quantities evaluated there.
+    ``max_iterations=0`` returns the initial value unconverged with the
+    likelihood quantities evaluated there. ``compute_dfbetas`` adds the
+    influence residuals to the fit.
     """
 
     max_iterations: int = 50
-    score_tolerance: float = 1e-9
-    step_tolerance: float = 1e-8
-    max_step_halvings: int = 10
     initial: np.ndarray | None = None
     compute_dfbetas: bool = False
-
-    def with_dfbetas(self) -> "CoxOptions":
-        """Same options with influence-residual computation switched on."""
-        if self.compute_dfbetas:
-            return self
-        return replace(self, compute_dfbetas=True)
 
 
 @dataclass(frozen=True)
@@ -144,7 +137,7 @@ class CoxFit:
         loglik: log partial likelihood at ``beta``.
         score: score vector at ``beta``.
         information: observed information matrix at ``beta``.
-        dfbetas: per-subject influence on ``beta`` (rows sum to roughly zero
+        dfbetas: per-record influence on ``beta`` (rows sum to roughly zero
             at a converged solution); None unless requested.
         n_events: number of events across all blocks.
         converged: whether both stopping criteria were met.
@@ -225,7 +218,6 @@ class _PreparedBlock:
         self.n_events_le = np.searchsorted(ev_time, time, side="right")
         self.w_ev = self.w[self.ev_pos]
         self.xt_ev = self.xt[:, self.ev_pos]
-        self.subject = None if data.subject is None else data.subject[order]
         self.triu, self.sym = _moment_layout(data.n_covariates)
 
     def evaluate(self, beta: np.ndarray, need_info: bool):
@@ -309,18 +301,15 @@ def _evaluate_all(prepared, beta: np.ndarray, need_info: bool):
 
 
 def fit_cox_blocks(
-    blocks: Sequence[SurvivalData],
-    options: CoxOptions | None = None,
-    n_subjects: int | None = None,
+    blocks: Sequence[SurvivalData], options: CoxOptions | None = None
 ) -> CoxFit:
     """Fit one coefficient vector to independent right-censored blocks.
 
     Args:
         blocks: record blocks; the log partial likelihood is their sum.
-        options: Newton controls; defaults apply when omitted.
-        n_subjects: number of rows in the influence matrix when dfbetas are
-            requested and blocks carry subject labels. Inferred from the
-            labels when omitted.
+        options: iteration cap, starting value and whether to compute
+            dfbetas; defaults apply when omitted. The dfbetas have one row
+            per record, the blocks' records in block order.
 
     Raises:
         NoEventsError: no block contains an event.
@@ -337,7 +326,7 @@ def fit_cox_blocks(
         if beta.shape != (p,):
             raise InputError(f"initial value must have shape ({p},)")
 
-    score_tol = options.score_tolerance * max(1, n_events)
+    score_tol = SCORE_TOLERANCE * max(1, n_events)
     loglik, score, info = _evaluate_all(prepared, beta, need_info=True)
     if not np.isfinite(loglik):
         raise SingularInformationError("log partial likelihood is not finite at the start")
@@ -346,7 +335,7 @@ def fit_cox_blocks(
     iterations = 0
     step_norm = np.inf
     while iterations < options.max_iterations:
-        if np.abs(score).max() < score_tol and step_norm < options.step_tolerance:
+        if np.abs(score).max() < score_tol and step_norm < STEP_TOLERANCE:
             converged = True
             break
         try:
@@ -363,7 +352,7 @@ def fit_cox_blocks(
             ) from None
         scale = 1.0
         accepted = None
-        for _ in range(options.max_step_halvings + 1):
+        for _ in range(MAX_STEP_HALVINGS + 1):
             candidate = beta + scale * direction
             # A far-out candidate can underflow a risk-set sum to zero; the
             # non-finite likelihood that follows rejects it just below.
@@ -379,11 +368,11 @@ def fit_cox_blocks(
         beta, loglik, score, info = accepted
         iterations += 1
     if not converged and iterations > 0:
-        converged = np.abs(score).max() < score_tol and step_norm < options.step_tolerance
+        converged = np.abs(score).max() < score_tol and step_norm < STEP_TOLERANCE
 
     dfbetas = None
     if options.compute_dfbetas:
-        dfbetas = _dfbetas(prepared, beta, info, n_subjects)
+        dfbetas = _dfbetas(prepared, beta, info)
 
     return CoxFit(
         beta=beta,
@@ -402,22 +391,8 @@ def fit_cox(data: SurvivalData, options: CoxOptions | None = None) -> CoxFit:
     return fit_cox_blocks([data], options)
 
 
-def _dfbetas(prepared, beta, info, n_subjects):
-    labeled = prepared and all(b.subject is not None for b in prepared)
-    if labeled and n_subjects is None:
-        n_subjects = int(max(b.subject.max() for b in prepared)) + 1
-    rows = n_subjects if labeled else sum(b.w.shape[0] for b in prepared)
-    terms = np.zeros((rows, beta.size))
-    offset = 0
-    for block in prepared:
-        contrib = block.weighted_score_terms(beta)  # rows follow the block's input order
-        if labeled:
-            labels = np.empty(block.subject.shape, dtype=np.intp)
-            labels[block.order] = block.subject
-            np.add.at(terms, labels, contrib)
-        else:
-            terms[offset : offset + contrib.shape[0]] = contrib
-            offset += contrib.shape[0]
+def _dfbetas(prepared, beta, info):
+    terms = np.concatenate([block.weighted_score_terms(beta) for block in prepared])
     # Invert the p x p information once and apply it with a matmul: a
     # triangular solve with one right-hand side per row would let the BLAS
     # start threads in every pool worker.
@@ -451,4 +426,4 @@ def dfbeta_residuals(fit: CoxFit, data: SurvivalData) -> np.ndarray:
     the same way, which is numerically zero.
     """
     prepared, _, _ = _prepare_blocks([data])
-    return _dfbetas(prepared, fit.beta, fit.information, n_subjects=None)
+    return _dfbetas(prepared, fit.beta, fit.information)

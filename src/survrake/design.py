@@ -32,6 +32,10 @@ __all__ = [
     "stratified_bootstrap",
 ]
 
+# Share of bootstrap replicates that may fail before the bootstrap itself
+# is an error.
+MAX_FAILURE_FRACTION = 0.1
+
 
 @dataclass(frozen=True)
 class TwoPhaseDesign:
@@ -216,7 +220,6 @@ def stratified_bootstrap(
     B: int,
     seed: int = 0,
     ci_level: float = 0.95,
-    max_failure_fraction: float = 0.1,
 ) -> BootstrapResult:
     """Stratified bootstrap of ``estimator`` over validation membership.
 
@@ -226,8 +229,9 @@ def stratified_bootstrap(
     resampled rows arrive validated-first). Replicates live on private RNG
     streams derived from (seed, replicate index), so execution order cannot
     change the draws. Replicates whose estimator raises an estimation error
-    are dropped and counted; more than ``max_failure_fraction`` of them
-    failing is an error, as is losing every replicate.
+    are dropped and counted; more than ``MAX_FAILURE_FRACTION`` (10 %) of
+    them failing is an error, as is losing every replicate. ``ci_level``
+    must lie strictly between 0 and 1.
 
     ``estimator`` is called as ``estimator(cohort, design)`` and may return
     a coefficient vector, a fit with a ``beta`` attribute, or a tuple whose
@@ -237,6 +241,10 @@ def stratified_bootstrap(
     """
     if B < 2:
         raise InvalidConfigError("the bootstrap needs at least two replicates")
+    if not 0.0 < ci_level < 1.0:
+        raise InvalidConfigError(
+            f"interval level {ci_level} is not strictly between 0 and 1"
+        )
     if design is not None and design.n != cohort.n:
         raise InputError(f"design covers {design.n} subjects, cohort has {cohort.n}")
 
@@ -262,10 +270,10 @@ def stratified_bootstrap(
             n_failed += 1
     if not estimates:
         raise AllReplicatesFailedError(f"all {B} bootstrap replicates failed")
-    if n_failed > max_failure_fraction * B:
+    if n_failed > MAX_FAILURE_FRACTION * B:
         raise BootstrapFailureError(
             f"{n_failed} of {B} bootstrap replicates failed, more than the "
-            f"{max_failure_fraction:.0%} allowance"
+            f"{MAX_FAILURE_FRACTION:.0%} allowance"
         )
     matrix = np.vstack(estimates)
     alpha = (1.0 - ci_level) / 2.0

@@ -36,6 +36,9 @@ __all__ = [
     "grrc_estimate",
 ]
 
+RAKING_TOLERANCE = 1e-8
+RAKING_MAX_ITERATIONS = 50
+
 
 @dataclass(frozen=True)
 class AuxiliaryMatrix:
@@ -102,19 +105,16 @@ def _dual_value(eta: np.ndarray, base_weights: np.ndarray, lam: np.ndarray, tota
     return value
 
 
-def solve_raking(
-    design: TwoPhaseDesign,
-    aux: AuxiliaryMatrix,
-    tol: float = 1e-8,
-    max_iter: int = 50,
-) -> RakingSolution:
+def solve_raking(design: TwoPhaseDesign, aux: AuxiliaryMatrix) -> RakingSolution:
     """Find the exponential weight adjustment matching auxiliary totals.
 
     Solves F(lambda) = sum over validated of (exp(-lambda'A_i)/pi_i) A_i
     minus the cohort total of A for lambda, by Newton iteration on the
     equivalent convex dual with step halving, started from the one-step
     linearized value. Convergence requires the constraint residual to
-    drop below ``tol * (1 + max-norm of the cohort totals)``.
+    drop below ``RAKING_TOLERANCE * (1 + max-norm of the cohort totals)``
+    within ``RAKING_MAX_ITERATIONS`` Newton steps; the solution reports
+    whether it did.
     """
     if aux.n != design.n:
         raise InputError(f"auxiliary matrix covers {aux.n} subjects, design has {design.n}")
@@ -145,8 +145,8 @@ def solve_raking(
         dual = _dual_value(a_sel @ lam, base_weights, lam, totals)
     gap, gweights = constraint_gap(lam)
     iterations = 0
-    converged = bool(np.abs(gap).max() <= tol * scale)
-    while not converged and iterations < max_iter:
+    converged = bool(np.abs(gap).max() <= RAKING_TOLERANCE * scale)
+    while not converged and iterations < RAKING_MAX_ITERATIONS:
         iterations += 1
         # The constraint gap has Jacobian -hessian, so the root-finding
         # step adds the solved direction.
@@ -166,7 +166,7 @@ def solve_raking(
         lam = candidate
         dual = _dual_value(a_sel @ lam, base_weights, lam, totals)
         gap, gweights = constraint_gap(lam)
-        converged = bool(np.abs(gap).max() <= tol * scale)
+        converged = bool(np.abs(gap).max() <= RAKING_TOLERANCE * scale)
 
     g = np.exp(-(aux.values @ lam))
     weights = np.where(design.selected, g / design.pi, 0.0)
@@ -186,9 +186,7 @@ def _synced(cohort: CohortData, design: TwoPhaseDesign) -> CohortData:
     return cohort.with_design(design.selected, design.pi)
 
 
-def _validated_fit(
-    cohort: CohortData, analysis_weights: np.ndarray, options: CoxOptions | None
-) -> CoxFit:
+def _validated_fit(cohort: CohortData, analysis_weights: np.ndarray) -> CoxFit:
     sel = cohort.selected
     if not sel.any():
         raise EmptyValidationError("no validated subjects to fit on")
@@ -198,41 +196,30 @@ def _validated_fit(
         cohort.validated_covariates(),
         weights=analysis_weights[sel],
     )
-    return fit_cox(data, options)
+    return fit_cox(data)
 
 
-def ht_estimate(
-    cohort: CohortData, design: TwoPhaseDesign, options: CoxOptions | None = None
-) -> CoxFit:
+def ht_estimate(cohort: CohortData, design: TwoPhaseDesign) -> CoxFit:
     """Inverse-probability-weighted fit on the validated true data."""
     synced = _synced(cohort, design)
-    return _validated_fit(synced, 1.0 / design.pi, options)
+    return _validated_fit(synced, 1.0 / design.pi)
 
 
 def _raked_fit(
-    cohort: CohortData,
-    design: TwoPhaseDesign,
-    influence: np.ndarray,
-    options: CoxOptions | None,
-    tol: float,
-    max_iter: int,
+    cohort: CohortData, design: TwoPhaseDesign, influence: np.ndarray
 ) -> tuple[CoxFit, RakingSolution]:
-    solution = solve_raking(design, AuxiliaryMatrix(influence), tol, max_iter)
+    solution = solve_raking(design, AuxiliaryMatrix(influence))
     if not solution.converged:
         raise ConvergenceError(
             f"raking stopped after {solution.iterations} iterations with "
             f"constraint residual {solution.constraint_residual:.3e}"
         )
-    fit = _validated_fit(cohort, solution.weights, options)
+    fit = _validated_fit(cohort, solution.weights)
     return fit, solution
 
 
 def grn_estimate(
-    cohort: CohortData,
-    design: TwoPhaseDesign,
-    options: CoxOptions | None = None,
-    tol: float = 1e-8,
-    max_iter: int = 50,
+    cohort: CohortData, design: TwoPhaseDesign
 ) -> tuple[CoxFit, RakingSolution]:
     """Raking with influence residuals of the naive error-prone fit.
 
@@ -248,18 +235,13 @@ def grn_estimate(
             synced.delta_star,
             synced.phase_one_covariates(),
         ),
-        CoxOptions(compute_dfbetas=True) if options is None else options.with_dfbetas(),
+        CoxOptions(compute_dfbetas=True),
     )
-    return _raked_fit(synced, design, naive.dfbetas, options, tol, max_iter)
+    return _raked_fit(synced, design, naive.dfbetas)
 
 
 def grrc_estimate(
-    cohort: CohortData,
-    design: TwoPhaseDesign,
-    mode: ErrorMode,
-    options: CoxOptions | None = None,
-    tol: float = 1e-8,
-    max_iter: int = 50,
+    cohort: CohortData, design: TwoPhaseDesign, mode: ErrorMode
 ) -> tuple[CoxFit, RakingSolution]:
     """Raking with influence residuals of the calibration-corrected fit.
 
@@ -273,6 +255,6 @@ def grrc_estimate(
     synced = _synced(cohort, design)
     corrected = fit_cox(
         _calibrated_data(synced, mode, Weighting.IPW),
-        CoxOptions(compute_dfbetas=True) if options is None else options.with_dfbetas(),
+        CoxOptions(compute_dfbetas=True),
     )
-    return _raked_fit(synced, design, corrected.dfbetas, options, tol, max_iter)
+    return _raked_fit(synced, design, corrected.dfbetas)

@@ -658,10 +658,16 @@ def tune_censoring(
     endpoint whose empirical censoring fraction matches ``target``. A
     target of zero returns the infinite sentinel interval that disables
     censoring. Raises NotBracketedError, reporting the achievable range,
-    when the target exceeds what the fixed length allows.
+    when the target exceeds what the fixed length allows, and
+    InvalidConfigError when ``n`` is below 1 or ``tolerance`` is not
+    positive.
     """
     from scipy.optimize import brentq
 
+    if int(n) < 1:
+        raise InvalidConfigError(f"the tuning cohort needs at least one subject, got {n}")
+    if not tolerance > 0.0:
+        raise InvalidConfigError(f"tolerance must be positive, got {tolerance}")
     if target is None:
         target = config.censor_target
     target = float(target)

@@ -29,7 +29,7 @@ from survrake.cox import (
     log_partial_likelihood,
     score_and_information,
 )
-from survrake.design import SamplingPlan, TwoPhaseDesign, draw_validation
+from survrake.design import SamplingPlan, TwoPhaseDesign
 from survrake.io import load_scenario
 from survrake.raking import (
     AuxiliaryMatrix,

@@ -6,7 +6,6 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from survrake.calibration import (
     U_HAT_FLOOR_FACTOR,
-    CalibrationModel,
     ErrorMode,
     Weighting,
     apply_rc,
@@ -391,11 +390,3 @@ class TestRsrcFit:
         second = rsrc_fit(make_cohort(seed=45), BOTH)
         assert_array_equal(first.beta, second.beta)
         assert_array_equal(first.cuts, second.cuts)
-
-    def test_influence_rows_aggregate_by_subject(self):
-        from survrake.cox import CoxOptions
-
-        cohort = make_cohort(seed=46)
-        fit = rsrc_fit(cohort, BOTH, options=CoxOptions(compute_dfbetas=True))
-        assert fit.dfbetas.shape == (cohort.n, 2)
-        assert_allclose(fit.dfbetas.sum(axis=0), np.zeros(2), atol=1e-6)

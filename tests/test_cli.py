@@ -246,6 +246,13 @@ class TestFitCommand:
         se = read_estimates(tmp_path / "fit_naive.csv")["x_star"][2]
         assert se is not None and math.isfinite(se) and se > 0
 
+    @pytest.mark.parametrize("level", ["1.5", "0", "1"])
+    def test_ci_level_outside_unit_interval_exits_2(self, level, tmp_path, capsys):
+        assert main(["fit", EXAMPLE, "--estimator", "naive", "--bootstrap", "5",
+                     "--ci-level", level, "--out", str(tmp_path)]) == 2
+        assert "interval level" in capsys.readouterr().err
+        assert not (tmp_path / "fit_naive.csv").exists()
+
     def test_unknown_estimator_is_a_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as info:
             main(["fit", EXAMPLE, "--estimator", "bogus"])
@@ -349,6 +356,14 @@ class TestTuneCommand:
         out = capsys.readouterr().out
         values = dict(line.split(": ") for line in out.strip().split("\n"))
         assert abs(float(values["achieved"]) - 0.4) < 0.01
+
+    @pytest.mark.parametrize(
+        "flags", [["--subjects", "0"], ["--subjects", "-5"], ["--tolerance", "-0.01"],
+                  ["--tolerance", "0"]],
+    )
+    def test_invalid_tuning_settings_exit_2(self, flags, capsys):
+        assert main(["tune-censoring", "outcome_error_moderate", *flags]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestVersionCommand:

@@ -185,9 +185,9 @@ def rsrc_window_blocks():
     cohort = cohort.with_design(design.selected, design.pi)
     captured = []
 
-    def capture(blocks, options=None, n_subjects=None):
+    def capture(blocks, options=None):
         captured.extend(blocks)
-        return fit_cox_blocks(blocks, options, n_subjects)
+        return fit_cox_blocks(blocks, options)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(calibration, "fit_cox_blocks", capture)
@@ -404,20 +404,22 @@ class TestBlocks:
         assert_allclose(split.beta, whole.beta, atol=1e-10)
         assert_allclose(split.loglik, whole.loglik, rtol=1e-12)
 
-    def test_subject_labels_aggregate_influence(self):
+    def test_influence_rows_stack_in_block_order(self):
+        # The early block's rows, then the late block's: adding each
+        # crosser's two rows gives its influence in the unsplit fit.
         rng = np.random.default_rng(53)
         time, event, x, w = random_dataset(rng, n=60)
         cut = np.median(time)
-        labels = np.arange(60)
-        early = SurvivalData(np.minimum(time, cut), event & (time <= cut), x, w, subject=labels)
+        early = SurvivalData(np.minimum(time, cut), event & (time <= cut), x, w)
         late_mask = time > cut
-        late = SurvivalData(
-            time[late_mask], event[late_mask], x[late_mask], w[late_mask], subject=labels[late_mask]
-        )
-        split = fit_cox_blocks([early, late], CoxOptions(compute_dfbetas=True), n_subjects=60)
+        late = SurvivalData(time[late_mask], event[late_mask], x[late_mask], w[late_mask])
+        split = fit_cox_blocks([early, late], CoxOptions(compute_dfbetas=True))
+        assert split.dfbetas.shape == (60 + late_mask.sum(), 2)
+        per_subject = split.dfbetas[:60].copy()
+        per_subject[late_mask] += split.dfbetas[60:]
         whole_data = SurvivalData(time, event, x, w)
         whole = fit_cox(whole_data)
-        assert_allclose(split.dfbetas, dfbeta_residuals(whole, whole_data), atol=1e-10)
+        assert_allclose(per_subject, dfbeta_residuals(whole, whole_data), atol=1e-10)
 
 
 class TestEdgesAndValidation:

@@ -7,7 +7,6 @@ from numpy.testing import assert_allclose, assert_array_equal
 from survrake.calibration import ErrorMode, rc_fit
 from survrake.cohort import CohortData
 from survrake.design import (
-    BootstrapResult,
     SamplingKind,
     SamplingPlan,
     TwoPhaseDesign,
@@ -227,21 +226,18 @@ class TestStratifiedBootstrap:
             stratified_bootstrap(self.cohort, self.design, flaky, B=40, seed=7)
 
     def test_tolerated_failures_are_counted(self):
+        # Every tenth replicate fails: 4 of 40 is exactly the 10 % allowance.
+        calls = []
+
         def flaky(cohort, design):
-            if int(cohort.ids.sum()) % 2 == 0:
-                raise SingularInformationError("even resample")
+            calls.append(None)
+            if len(calls) % 10 == 0:
+                raise SingularInformationError("every tenth replicate")
             return np.array([1.0])
 
-        result = stratified_bootstrap(
-            self.cohort,
-            self.design,
-            flaky,
-            B=40,
-            seed=7,
-            max_failure_fraction=0.9,
-        )
-        assert result.n_failed > 0
-        assert result.b_effective == 40 - result.n_failed
+        result = stratified_bootstrap(self.cohort, self.design, flaky, B=40, seed=7)
+        assert result.n_failed == 4
+        assert result.b_effective == 36
 
     def test_percentile_interval_brackets_estimates(self):
         estimator = lambda c, d: np.array([c.time_star.mean()])
@@ -268,6 +264,9 @@ class TestStratifiedBootstrap:
         ok = lambda c, d: np.array([1.0])
         with pytest.raises(InvalidConfigError):
             stratified_bootstrap(self.cohort, self.design, ok, B=1)
+        for level in (0.0, 1.0, 1.5, -0.2, float("nan")):
+            with pytest.raises(InvalidConfigError):
+                stratified_bootstrap(self.cohort, self.design, ok, B=4, ci_level=level)
         with pytest.raises(InputError):
             stratified_bootstrap(
                 self.cohort, self.design.take(np.arange(10)), ok, B=4
